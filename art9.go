@@ -246,10 +246,12 @@ type (
 	// scraped by the Balancer's probe loop, and used to size chunked
 	// dispatch (New(WithFailover(), WithChunk(n), ...)).
 	Capacity = engine.Capacity
-	// Autoscaler is the elastic front: a pool of local shards that
-	// grows and shrinks between bounds — recruiting standby peers under
-	// burst — from the queue-depth/utilization signal, draining every
-	// retired member before it closes. Build one with
+	// Autoscaler is the elastic front: a scale policy over an embedded
+	// Balancer whose pool of local shards grows and shrinks between
+	// bounds — recruiting standby peers under burst — from the
+	// queue-depth/utilization signal, draining every retired member
+	// before it closes. Members get the Balancer's health probes,
+	// wedge abandonment and failover. Build one with
 	// New(WithAutoscale(min, max), ...).
 	Autoscaler = engine.Autoscaler
 	// ScaleEvent records one autoscaler pool transition, as carried by
@@ -267,6 +269,9 @@ var (
 	ErrClosed = engine.ErrClosed
 	// ErrTimeout wraps job failures caused by a per-job timeout.
 	ErrTimeout = engine.ErrTimeout
+	// ErrPanic wraps the failure of a job that panicked: the panic is
+	// contained to that job's result, with its value and stack.
+	ErrPanic = engine.ErrPanic
 	// ErrUnavailable wraps backend-level failures — an unreachable
 	// peer, a severed result stream — the class a failover Balancer
 	// responds to by re-running the job elsewhere.

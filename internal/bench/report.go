@@ -71,32 +71,32 @@ type BalancerReport struct {
 // Autoscaler-fronted backend, or nil when ev is any other Evaluator —
 // callers attach it to a Report exactly when it exists.
 func BalancerReportFor(ev engine.Evaluator) *BalancerReport {
-	var rep *BalancerReport
-	switch front := ev.(type) {
-	case *engine.Balancer:
-		rep = &BalancerReport{
-			MaxRetries:   front.MaxRetries(),
-			Retries:      front.Retries(),
-			Chunk:        front.Chunk(),
-			Chunks:       front.Chunks(),
-			ChunkResumes: front.ChunkResumes(),
-			CacheHits:    front.CacheHits(),
-			Backends:     front.Health(),
-		}
-	case *engine.Autoscaler:
-		rep = &BalancerReport{
-			MaxRetries: front.MaxRetries(),
-			Retries:    front.Retries(),
-			CacheHits:  front.CacheHits(),
-			ScaleUps:   front.ScaleUps(),
-			ScaleDowns: front.ScaleDowns(),
-			// Events is already bounded engine-side, so the report
-			// carries the full log it kept.
-			ScaleEvents: front.Events(),
-			Backends:    front.Health(),
-		}
-	default:
+	// An Autoscaler is a scale policy over an embedded Balancer, so both
+	// fronts render the Balancer's scorecard; only the scale trajectory
+	// is the Autoscaler's own.
+	front, ok := ev.(*engine.Balancer)
+	scaler, scaled := ev.(*engine.Autoscaler)
+	if scaled {
+		front, ok = scaler.Balancer, true
+	}
+	if !ok {
 		return nil
+	}
+	rep := &BalancerReport{
+		MaxRetries:   front.MaxRetries(),
+		Retries:      front.Retries(),
+		Chunk:        front.Chunk(),
+		Chunks:       front.Chunks(),
+		ChunkResumes: front.ChunkResumes(),
+		CacheHits:    front.CacheHits(),
+		Backends:     front.Health(),
+	}
+	if scaled {
+		rep.ScaleUps = scaler.ScaleUps()
+		rep.ScaleDowns = scaler.ScaleDowns()
+		// Events is already bounded engine-side, so the report carries
+		// the full log it kept.
+		rep.ScaleEvents = scaler.Events()
 	}
 	for _, h := range rep.Backends {
 		rep.Failovers += h.Failovers

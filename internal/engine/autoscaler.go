@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -17,12 +16,14 @@ import (
 // diagnostics.
 var ErrInvalidOptions = errors.New("engine: invalid option combination")
 
-// Autoscaler is the elastic Evaluator: it fronts a pool of local shard
-// engines that grows and shrinks between configured bounds — and
-// optionally dials configured standby backends when the local bound is
-// exhausted — driven by the same capacity/queue-depth signal the
-// Balancer scrapes. Dispatch is least-loaded over the active members,
-// with bounded job-level failover on backend errors.
+// Autoscaler is the elastic Evaluator: a scale policy over an embedded
+// Balancer. The pool of local shard engines grows and shrinks between
+// configured bounds — and optionally dials configured standby backends
+// when the local bound is exhausted — driven by the Balancer's queue
+// depth and its members' utilization. Placement, health probing,
+// abandonment of wedged members, failover and the result-cache short
+// circuit are the Balancer's, so an autoscaled member is held to the
+// same health rules as a fixed one.
 //
 // Scaling follows hysteresis: the pool grows when jobs are queued
 // beyond the active capacity (or utilization crosses UpThreshold),
@@ -34,55 +35,29 @@ var ErrInvalidOptions = errors.New("engine: invalid option combination")
 // same drain-safe contract every Evaluator honours — invoked, so no
 // job is ever lost to a shrink.
 type Autoscaler struct {
-	min, max   int
-	up, down   float64
-	cooldown   time.Duration
-	interval   time.Duration
-	width      int
-	maxRetries int
-	spawn      func() Evaluator
-	standby    []StandbyBackend
-	// cache, when non-nil, short-circuits placement on known Specs —
-	// a hit never parks in the queue, so it cannot trigger a scale-up.
-	cache ResultCache
+	*Balancer
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	closed    bool
-	members   []*scaledMember // every member ever started, retired ones included
-	locals    int             // currently active local members
-	live      []bool          // per standby factory: dialed and active
-	waiting   int             // jobs parked for a dispatch slot — the queue-depth signal
-	last      time.Time       // most recent scale event, for the cooldown
-	events    []ScaleEvent
-	seq       int    // scale-event sequence
-	spawned   int    // local members ever spawned, for stable naming
-	ups       uint64 // lifetime scale-up events
-	downs     uint64 // lifetime scale-down events
-	retries   uint64 // re-dispatches after backend-level failures
-	cacheHits uint64 // jobs resolved from the result cache, never placed
+	min, max int
+	up, down float64
+	cooldown time.Duration
+	interval time.Duration
+	spawn    func() Evaluator
+	standby  []StandbyBackend
+
+	// The scale state below is guarded by the Balancer's mu, which also
+	// guards the membership it decides over.
+	locals  int       // currently active local members
+	live    []*member // per standby factory: its active member, nil while idle
+	last    time.Time // most recent scale event, for the cooldown
+	events  []ScaleEvent
+	seq     int    // scale-event sequence
+	spawned int    // local members ever spawned, for stable naming
+	ups     uint64 // lifetime scale-up events
+	downs   uint64 // lifetime scale-down events
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	drains   sync.WaitGroup
-}
-
-// scaledMember is one pooled backend plus the autoscaler's book-keeping.
-// Mutable fields are guarded by Autoscaler.mu.
-type scaledMember struct {
-	ev      Evaluator
-	name    string
-	width   int  // max concurrent jobs dispatched here
-	standby int  // index into the standby factories, -1 for a local shard
-	active  bool // accepting new jobs
-	retired bool // scaled down; drained and closed once inflight hits 0
-
-	inflight   int
-	dispatched uint64
-	completed  uint64
-	failed     uint64
-	failovers  uint64
-	lastErr    string
 }
 
 // StandbyBackend is one standby member the autoscaler may dial when the
@@ -168,16 +143,13 @@ type AutoscalerOptions struct {
 }
 
 // NewAutoscaler starts an elastic pool at its minimum size and, unless
-// the evaluation interval is negative, the background scale loop.
-// Close drains and releases every member. The autoscaler owns its
-// members: locals are spawned, standbys dialed and retired, entirely
-// by the scale loop.
+// the evaluation interval is negative, the background scale loop and
+// the Balancer's health loop. Close drains and releases every member.
+// The autoscaler owns its members: locals are spawned, standbys dialed
+// and retired, entirely by the scale loop.
 func NewAutoscaler(opts AutoscalerOptions) *Autoscaler {
 	if opts.Min <= 0 {
 		opts.Min = 1
-	}
-	if opts.Max <= 0 {
-		opts.Max = opts.Min
 	}
 	if opts.Max < opts.Min {
 		opts.Max = opts.Min
@@ -194,14 +166,6 @@ func NewAutoscaler(opts AutoscalerOptions) *Autoscaler {
 	if opts.Interval == 0 {
 		opts.Interval = time.Second
 	}
-	if opts.Width <= 0 {
-		opts.Width = 8
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 2
-	} else if opts.MaxRetries < 0 {
-		opts.MaxRetries = 0
-	}
 	spawn := opts.Spawn
 	if spawn == nil {
 		eo := opts.Engine
@@ -212,22 +176,30 @@ func NewAutoscaler(opts AutoscalerOptions) *Autoscaler {
 		}
 		spawn = func() Evaluator { return New(eo) }
 	}
-	a := &Autoscaler{
-		min:        opts.Min,
-		max:        opts.Max,
-		up:         opts.UpThreshold,
-		down:       opts.DownThreshold,
-		cooldown:   opts.Cooldown,
-		interval:   opts.Interval,
-		width:      opts.Width,
-		maxRetries: opts.MaxRetries,
-		spawn:      spawn,
-		standby:    opts.Standby,
-		cache:      opts.Cache,
-		live:       make([]bool, len(opts.Standby)),
-		stop:       make(chan struct{}),
+	// A manual-only pool (negative Interval) probes only through
+	// ProbeNow too, so tests control every transition.
+	var health time.Duration
+	if opts.Interval < 0 {
+		health = -1
 	}
-	a.cond = sync.NewCond(&a.mu)
+	a := &Autoscaler{
+		Balancer: newBalancer(BalancerOptions{
+			MaxRetries:     opts.MaxRetries,
+			HealthInterval: health,
+			Width:          opts.Width,
+			Cache:          opts.Cache,
+		}),
+		min:      opts.Min,
+		max:      opts.Max,
+		up:       opts.UpThreshold,
+		down:     opts.DownThreshold,
+		cooldown: opts.Cooldown,
+		interval: opts.Interval,
+		spawn:    spawn,
+		standby:  opts.Standby,
+		live:     make([]*member, len(opts.Standby)),
+		stop:     make(chan struct{}),
+	}
 	a.mu.Lock()
 	for i := 0; i < a.min; i++ {
 		a.addLocalLocked()
@@ -249,22 +221,10 @@ var (
 
 // addLocalLocked spawns one local shard and makes it active. Callers
 // hold a.mu.
-func (a *Autoscaler) addLocalLocked() *scaledMember {
-	ev := a.spawn()
-	w := LocalStats(ev).Workers
-	if w <= 0 {
-		w = a.width
-	}
-	m := &scaledMember{
-		ev:      ev,
-		name:    fmt.Sprintf("pool/%d", a.spawned),
-		width:   w,
-		standby: -1,
-		active:  true,
-	}
+func (a *Autoscaler) addLocalLocked() *member {
+	m := a.addMemberLocked(a.spawn(), fmt.Sprintf("pool/%d", a.spawned), false)
 	a.spawned++
 	a.locals++
-	a.members = append(a.members, m)
 	return m
 }
 
@@ -298,7 +258,7 @@ func (a *Autoscaler) ScaleNow() bool {
 		return false
 	}
 	width, busy := a.loadLocked()
-	queue := a.waiting
+	queue := a.queueDepth()
 	util := 0.0
 	if width > 0 {
 		util = float64(busy) / float64(width)
@@ -325,7 +285,7 @@ func (a *Autoscaler) ScaleNow() bool {
 // loadLocked sums the active members' dispatch width and in-flight jobs.
 func (a *Autoscaler) loadLocked() (width, busy int) {
 	for _, m := range a.members {
-		if m.active {
+		if !m.retired {
 			width += m.width
 			busy += m.inflight
 		}
@@ -337,8 +297,8 @@ func (a *Autoscaler) canGrowLocked() bool {
 	if a.locals < a.max {
 		return true
 	}
-	for _, l := range a.live {
-		if !l {
+	for _, m := range a.live {
+		if m == nil {
 			return true
 		}
 	}
@@ -349,8 +309,8 @@ func (a *Autoscaler) canShrinkLocked() bool {
 	if a.locals > a.min {
 		return true
 	}
-	for _, l := range a.live {
-		if l {
+	for _, m := range a.live {
+		if m != nil {
 			return true
 		}
 	}
@@ -361,29 +321,24 @@ func (a *Autoscaler) canShrinkLocked() bool {
 // allows, then the first idle standby. A standby whose dial fails is
 // skipped this round.
 func (a *Autoscaler) growLocked(now time.Time, reason string) bool {
-	var m *scaledMember
+	var m *member
 	if a.locals < a.max {
 		m = a.addLocalLocked()
 	} else {
-		for i := range a.standby {
-			if a.live[i] {
+		for i, sb := range a.standby {
+			if a.live[i] != nil {
 				continue
 			}
-			ev, err := a.standby[i].Dial()
+			ev, err := sb.Dial()
 			if err != nil {
 				continue
 			}
-			name := a.standby[i].Name
+			name := sb.Name
 			if name == "" {
 				name = fmt.Sprintf("standby/%d", i)
 			}
-			w := LocalStats(ev).Workers
-			if w <= 0 {
-				w = a.width
-			}
-			m = &scaledMember{ev: ev, name: name, width: w, standby: i, active: true}
-			a.live[i] = true
-			a.members = append(a.members, m)
+			m = a.addMemberLocked(ev, name, true)
+			a.live[i] = m
 			break
 		}
 	}
@@ -400,27 +355,27 @@ func (a *Autoscaler) growLocked(now time.Time, reason string) bool {
 // candidate — and hands it to a drainer that closes it only once its
 // in-flight jobs have resolved.
 func (a *Autoscaler) shrinkLocked(now time.Time, reason string) bool {
-	var victim *scaledMember
+	var victim *member
 	for _, m := range a.members {
-		if !m.active {
-			continue
-		}
-		if m.standby < 0 && a.locals <= a.min {
-			continue // the local floor
+		if m.retired || (!m.standby && a.locals <= a.min) {
+			continue // already gone, or the local floor
 		}
 		if victim == nil ||
-			(m.standby >= 0 && victim.standby < 0) || // standbys retire first
-			(boolEq(m.standby >= 0, victim.standby >= 0) && m.inflight < victim.inflight) {
+			(m.standby && !victim.standby) || // standbys retire first
+			(m.standby == victim.standby && m.inflight < victim.inflight) {
 			victim = m
 		}
 	}
 	if victim == nil {
 		return false
 	}
-	victim.active = false
-	victim.retired = true
-	if victim.standby >= 0 {
-		a.live[victim.standby] = false
+	a.retireLocked(victim)
+	if victim.standby {
+		for i, m := range a.live {
+			if m == victim {
+				a.live[i] = nil
+			}
+		}
 	} else {
 		a.locals--
 	}
@@ -431,12 +386,10 @@ func (a *Autoscaler) shrinkLocked(now time.Time, reason string) bool {
 	return true
 }
 
-func boolEq(x, y bool) bool { return x == y }
-
 // drainAndClose waits for a retired member's in-flight jobs to resolve,
 // then closes it — drain-before-retire. If the autoscaler itself closes
 // first, Close owns the member shutdown and the drainer just exits.
-func (a *Autoscaler) drainAndClose(m *scaledMember) {
+func (a *Autoscaler) drainAndClose(m *member) {
 	defer a.drains.Done()
 	a.mu.Lock()
 	for m.inflight > 0 && !a.closed {
@@ -471,48 +424,9 @@ func (a *Autoscaler) recordLocked(now time.Time, dir, backend, reason string) {
 	}
 }
 
-// Size returns how many members the pool has ever held (retired members
-// keep reporting their counters).
-func (a *Autoscaler) Size() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.members)
-}
-
-// Backend returns member i, for stats drill-down and tests. Members are
-// only ever appended, so an index observed via Size stays valid.
-func (a *Autoscaler) Backend(i int) Evaluator {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.members[i].ev
-}
-
 // Min and Max report the configured local-shard bounds.
 func (a *Autoscaler) Min() int { return a.min }
 func (a *Autoscaler) Max() int { return a.max }
-
-// MaxRetries returns the per-job failover budget.
-func (a *Autoscaler) MaxRetries() int { return a.maxRetries }
-
-// Retries returns how many re-dispatches (attempts after each job's
-// first) the autoscaler has performed over its lifetime.
-func (a *Autoscaler) Retries() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.retries
-}
-
-// ResultCache returns the result-cache tier consulted before every
-// placement, or nil when the pool runs uncached.
-func (a *Autoscaler) ResultCache() ResultCache { return a.cache }
-
-// CacheHits returns how many jobs were resolved from the result cache
-// without ever being placed on a member.
-func (a *Autoscaler) CacheHits() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cacheHits
-}
 
 // ScaleUps and ScaleDowns report the lifetime scale-event counters.
 func (a *Autoscaler) ScaleUps() uint64 {
@@ -547,289 +461,32 @@ func (a *Autoscaler) ScaleState() ScaleState {
 		Standbys:      len(a.standby),
 		Width:         width,
 		Busy:          busy,
-		Queue:         a.waiting,
+		Queue:         a.queueDepth(),
 		UpThreshold:   a.up,
 		DownThreshold: a.down,
 		ScaleUps:      a.ups,
 		ScaleDowns:    a.downs,
 	}
 	for _, m := range a.members {
-		if !m.active {
-			continue
-		}
-		if m.standby >= 0 {
+		switch {
+		case m.retired:
+		case m.standby:
 			st.ActiveStandbys++
-		} else {
+		default:
 			st.ActiveShards++
 		}
 	}
 	return st
 }
 
-// Health snapshots every member's scorecard, spawn order, retired
-// members included — the same shape the Balancer reports, so stats
-// endpoints and BENCH artifacts render both fronts identically.
-func (a *Autoscaler) Health() []BackendHealth {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]BackendHealth, len(a.members))
-	for i, m := range a.members {
-		out[i] = BackendHealth{
-			Name:       m.name,
-			Healthy:    m.active,
-			Width:      m.width,
-			Inflight:   m.inflight,
-			Dispatched: m.dispatched,
-			Completed:  m.completed,
-			Failed:     m.failed,
-			Failovers:  m.failovers,
-			Retired:    m.retired,
-			Standby:    m.standby >= 0,
-			LastError:  m.lastErr,
-		}
-	}
-	return out
-}
-
-// Stats sums every member's own counters — the Evaluator view. Retired
-// members stay included: the jobs they completed happened.
-func (a *Autoscaler) Stats() Stats {
-	var t Stats
-	for _, st := range BackendStats(a) {
-		t = t.Add(st)
-	}
-	return t
-}
-
-// Capacity reports the active pool's load snapshot: live width, jobs in
-// flight, and the dispatch queue — the signal the scale loop itself
-// consumes, so /v1/capacity shows exactly what scaling decisions see.
-func (a *Autoscaler) Capacity(context.Context) (Capacity, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	width, busy := a.loadLocked()
-	c := Capacity{Workers: width, Busy: busy, Queue: a.waiting}
-	if busy < width {
-		c.Free = width - busy
-	}
-	return c, nil
-}
-
-// Probe reports liveness: an open autoscaler always has at least its
-// minimum pool accepting jobs.
-func (a *Autoscaler) Probe(context.Context) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// Close stops the scale loop, wakes every waiter (their jobs resolve
-// with ErrClosed), waits for retirement drains, closes every member
-// concurrently, and releases the attached result cache last (a tier
-// drains its queued peer fills there), joining every error. Idempotent.
-// Scale-down retirements never touch the cache: it is attached to the
-// front, not to the members.
+// Close stops the scale loop, then closes the Balancer — waking every
+// waiter (their jobs resolve with ErrClosed), closing every member and
+// releasing the attached result cache — and waits for retirement
+// drains. Idempotent. Scale-down retirements never touch the cache: it
+// is attached to the front, not to the members.
 func (a *Autoscaler) Close() error {
-	var err error
-	a.stopOnce.Do(func() {
-		a.mu.Lock()
-		a.closed = true
-		members := make([]*scaledMember, len(a.members))
-		copy(members, a.members)
-		a.mu.Unlock()
-		close(a.stop)
-		a.cond.Broadcast()
-		a.drains.Wait()
-		errs := make([]error, len(members), len(members)+1)
-		var wg sync.WaitGroup
-		for i, m := range members {
-			wg.Add(1)
-			go func(i int, ev Evaluator) {
-				defer wg.Done()
-				errs[i] = ev.Close()
-			}(i, m.ev)
-		}
-		wg.Wait()
-		errs = append(errs, closeResultCache(a.cache))
-		err = errors.Join(errs...)
-	})
+	a.stopOnce.Do(func() { close(a.stop) })
+	err := a.Balancer.Close()
+	a.drains.Wait()
 	return err
-}
-
-// Run dispatches every job to the least-loaded active member, failing
-// over on backend-level errors, and returns results in submission
-// order — Engine.Run semantics over the elastic pool.
-func (a *Autoscaler) Run(ctx context.Context, jobs []Job) ([]Result, error) {
-	out := make([]Result, len(jobs))
-	a.dispatch(ctx, jobs, func(i int, r Result) { out[i] = r })
-	return out, ctx.Err()
-}
-
-// Stream dispatches like Run but yields each result the moment its job
-// resolves, in completion order. The channel is buffered to len(jobs)
-// and always closes — the Evaluator contract.
-func (a *Autoscaler) Stream(ctx context.Context, jobs []Job) <-chan Result {
-	out := make(chan Result, len(jobs))
-	if len(jobs) == 0 {
-		close(out)
-		return out
-	}
-	go func() {
-		defer close(out)
-		a.dispatch(ctx, jobs, func(_ int, r Result) { out <- r })
-	}()
-	return out
-}
-
-// dispatch resolves every job exactly once through emit(jobIndex,
-// result). One placement goroutine per job parks in acquire until an
-// active member has a free slot; the parked count is the queue-depth
-// signal the scale loop grows the pool from. A watcher broadcasts on
-// the context ending so parked jobs observe the cancellation.
-func (a *Autoscaler) dispatch(ctx context.Context, jobs []Job, emit func(int, Result)) {
-	if len(jobs) == 0 {
-		return
-	}
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Broadcast under mu so the wakeup cannot fire into the gap
-			// between a waiter's last ctx check and its park.
-			a.mu.Lock()
-			a.cond.Broadcast()
-			a.mu.Unlock()
-		case <-watchDone:
-		}
-	}()
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			emit(i, a.runJob(ctx, jobs[i]))
-		}(i)
-	}
-	wg.Wait()
-	close(watchDone)
-}
-
-// runJob places one job, retrying backend-level failures on other
-// members within the failover budget — members already tried are
-// excluded until every active member has been, then the exclusion
-// resets so a freshly scaled-up pool gets another pass.
-func (a *Autoscaler) runJob(ctx context.Context, j Job) Result {
-	// A cache hit is a finished job: it neither takes a slot nor parks
-	// in the queue, so hot work cannot talk the pool into growing.
-	if a.cache != nil && j.Spec != nil {
-		if v, ok := a.cache.Lookup(ctx, j.Spec); ok {
-			a.mu.Lock()
-			a.cacheHits++
-			a.mu.Unlock()
-			return Result{ID: j.ID, Value: v, Worker: -1}
-		}
-	}
-	exclude := make(map[*scaledMember]bool)
-	var last Result
-	for attempt := 0; ; attempt++ {
-		m, err := a.acquire(ctx, exclude)
-		if err == errAllTried {
-			exclude = make(map[*scaledMember]bool)
-			m, err = a.acquire(ctx, exclude)
-		}
-		if err != nil {
-			return Result{ID: j.ID, Err: err, Worker: -1}
-		}
-		if attempt > 0 {
-			a.mu.Lock()
-			a.retries++
-			a.mu.Unlock()
-		}
-		last = a.attempt(ctx, m, j)
-		if !Retryable(last.Err) {
-			return last
-		}
-		a.mu.Lock()
-		if attempt >= a.maxRetries {
-			m.failed++
-			a.mu.Unlock()
-			return last
-		}
-		m.failovers++
-		a.mu.Unlock()
-		exclude[m] = true
-	}
-}
-
-// acquire reserves a dispatch slot on the active member with the fewest
-// in-flight jobs and a free slot. When every active member is saturated
-// it parks — counted in waiting, which is what makes queued demand
-// visible to the scale loop — until a completion, a scale event,
-// cancellation, or Close wakes it.
-func (a *Autoscaler) acquire(ctx context.Context, exclude map[*scaledMember]bool) (*scaledMember, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if a.closed {
-			return nil, ErrClosed
-		}
-		var best *scaledMember
-		allTried := true
-		for _, m := range a.members {
-			if !m.active || exclude[m] {
-				continue
-			}
-			allTried = false
-			if m.width-m.inflight > 0 && (best == nil || m.inflight < best.inflight) {
-				best = m
-			}
-		}
-		if allTried && len(exclude) > 0 {
-			return nil, errAllTried
-		}
-		if best != nil {
-			best.inflight++
-			best.dispatched++
-			return best, nil
-		}
-		a.waiting++
-		a.cond.Wait()
-		a.waiting--
-	}
-}
-
-// attempt runs one job on one member and scores the outcome. Whether a
-// retryable failure becomes a failover or a terminal failure is
-// runJob's call — it owns the retry budget.
-func (a *Autoscaler) attempt(ctx context.Context, m *scaledMember, j Job) Result {
-	rs, _ := m.ev.Run(ctx, []Job{j})
-	var r Result
-	if len(rs) >= 1 {
-		r = rs[0]
-	} else {
-		r = Result{ID: j.ID, Worker: -1,
-			Err: fmt.Errorf("engine: backend %s returned no result: %w", m.name, ErrUnavailable)}
-	}
-	a.mu.Lock()
-	m.inflight--
-	switch {
-	case r.Err == nil:
-		m.completed++
-	case Retryable(r.Err):
-		m.lastErr = r.Err.Error()
-	default:
-		m.failed++
-	}
-	a.mu.Unlock()
-	a.cond.Broadcast()
-	if r.Err == nil && a.cache != nil && j.Spec != nil {
-		a.cache.Store(ctx, j.Spec, r.Value)
-	}
-	return r
 }

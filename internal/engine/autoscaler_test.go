@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/engine/faulttest"
+	"repro/internal/engine/scenariotest"
 )
 
 // manualScaler builds an autoscaler whose pool only moves when the test
@@ -474,5 +476,52 @@ func TestAutoscalerFailoverRetriesOnDeadMember(t *testing.T) {
 	}
 	if failovers == 0 && a.Retries() == 0 {
 		t.Error("no failovers or retries recorded although one member was dead")
+	}
+}
+
+// TestAutoscalerAbandonsWedgedMember pins the health rules an
+// autoscaled pool inherits from the Balancer it scales: a member that
+// accepts jobs and never finishes them is detected by a failing probe,
+// its in-flight jobs are abandoned, and the suite completes on the
+// healthy member, byte-identical to a single-engine run.
+func TestAutoscalerAbandonsWedgedMember(t *testing.T) {
+	const n = 6
+	want := scenariotest.Reference(t, scenariotest.Jobs(n))
+	wedged := faulttest.New("wedged-member").StallAfter(0).
+		ProbeSick(errors.New("healthz timed out"))
+	var spawned int
+	a := manualScaler(t, engine.AutoscalerOptions{
+		Min: 2, Max: 2,
+		Spawn: func() engine.Evaluator {
+			spawned++
+			if spawned == 1 {
+				return wedged
+			}
+			return engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+		},
+	})
+
+	done := make(chan []engine.Result, 1)
+	go func() {
+		rs, _ := a.Run(context.Background(), scenariotest.Jobs(n))
+		done <- rs
+	}()
+	// Let placement trap at least one job on the wedged member, then
+	// deliver the probe verdict that rescues it.
+	waitUntil(t, "a job on the wedged member", func() bool { return a.Health()[0].Inflight > 0 })
+	a.ProbeNow(context.Background())
+
+	var rs []engine.Result
+	select {
+	case rs = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("suite hung on the wedged member despite the probe verdict")
+	}
+	if got := scenariotest.Render(t, rs); got != want {
+		t.Errorf("wedged-member result set diverged from healthy run:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	h := a.Health()[0]
+	if h.Healthy || h.Failovers == 0 || h.ProbeFailures == 0 {
+		t.Errorf("wedged member scorecard %+v, want unhealthy with failovers and a probe failure", h)
 	}
 }

@@ -23,11 +23,12 @@ import (
 //     reactively — a backend-level failure (Retryable: ErrClosed or
 //     ErrUnavailable) marks the backend down immediately, the next
 //     success or clean probe revives it.
-//   - Dispatch: each job takes a slot on the healthy backend with the
-//     fewest in-flight jobs (ties rotate), bounded per backend by its
-//     local worker count (or Width for backends that report none, i.e.
-//     remote peers), so a slow backend holds only the jobs it is
-//     actually running while the rest of the suite flows around it.
+//   - Dispatch: one placement loop per batch takes a slot on the healthy
+//     backend with the most free slots (ties rotate), bounded per
+//     backend by its local worker count (or Width for backends that
+//     report none, i.e. remote peers), so a slow backend holds only the
+//     jobs it is actually running while the rest of the suite flows
+//     around it.
 //   - Failover: a job whose result is a backend-level failure is re-run
 //     on another backend — bounded by MaxRetries, excluding backends
 //     already tried until every one has been — and resolves exactly
@@ -42,25 +43,27 @@ import (
 // closure jobs fail on remote backends with a not-remotable error and
 // are not retried (placement cannot fix a job that cannot travel).
 //
-// The wire tradeoff is explicit: dispatch is job-granular, so remote
-// jobs travel as individual /v1/eval requests (at most width concurrent
-// per peer) rather than the ShardSet's chunked /v1/suite streams —
-// placement precision and per-job failover bought with per-request
-// overhead. Wire-efficiency-critical batch sweeps over a healthy fleet
-// belong on a ShardSet; fleets that must survive member deaths belong
-// here.
+// Every placement moves a chunk of jobs; Chunk sets its cap, and the
+// default cap of 1 is per-job placement. The chunk's size picks the
+// wire call: a 1-job chunk runs through the backend's Run, so a remote
+// peer sees one /v1/eval request per job, while a multi-job chunk on a
+// ChunkDispatcher travels as one acknowledged /v1/suite stream. Per-job
+// placement buys the finest load spread and failover granularity with
+// per-request overhead; chunks amortise the wire at the cost of
+// coarser placement. Wire-efficiency-critical sweeps that need no
+// failover at all belong on a ShardSet.
+//
+// Membership is fixed for a plain Balancer; an Autoscaler embeds one
+// and adds and retires members as its scale policy decides.
 type Balancer struct {
-	members      []*member
+	members      []*member // appended under mu; retired members stay
 	maxRetries   int
 	interval     time.Duration
 	probeTimeout time.Duration
 	threshold    int
-	// slots is the fleet's total dispatch width — the admission cap on
-	// concurrently-placed jobs, so a huge batch doesn't park one cond
-	// waiter per job (see dispatch).
-	slots int
-	// chunk caps one chunked dispatch unit; 0 selects the historical
-	// per-job placement (see dispatchChunked).
+	// width caps dispatch to members that report no local workers.
+	width int
+	// chunk is the configured chunk cap; 0 and 1 both place per job.
 	chunk int
 	// cache, when non-nil, is consulted before every placement: a hit
 	// resolves the job without taking a slot or riding a chunk, and
@@ -71,12 +74,15 @@ type Balancer struct {
 	chunks       atomic.Uint64
 	chunkResumes atomic.Uint64
 	cacheHits    atomic.Uint64
+	// queued counts jobs waiting in placement loops for a slot — the
+	// queue-depth signal an Autoscaler grows the pool from.
+	queued atomic.Int64
 
-	// mu guards every member's mutable state plus closed and rr; cond
-	// (on mu) wakes acquire waiters when a slot frees, a probe changes a
-	// backend's health, or the balancer closes. Dispatch contexts get a
-	// watcher goroutine that broadcasts on cancellation so waiters
-	// observe it.
+	// mu guards the member list, every member's mutable state, closed
+	// and rr; cond (on mu) wakes acquire waiters when a slot frees, a
+	// probe changes a backend's health, membership changes, or the
+	// balancer closes. Dispatch contexts get a watcher goroutine that
+	// broadcasts on cancellation so waiters observe it.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	closed bool
@@ -97,6 +103,11 @@ type member struct {
 	ev    Evaluator
 	name  string
 	width int // max concurrent jobs dispatched to this backend
+	// retired members (scaled down by an Autoscaler) are no longer
+	// placed on, probed, or counted in capacity; standby marks members
+	// dialed from the Autoscaler's standby list. Both only label the
+	// scorecard otherwise.
+	retired, standby bool
 
 	healthy     bool
 	inflight    int
@@ -223,8 +234,7 @@ type BalancerOptions struct {
 	// otherwise — with per-row acknowledgement, so a severed chunk
 	// re-dispatches only its unresolved jobs. Chunks are sized down by
 	// the backend's free slots and scraped live capacity. 0 (or
-	// negative) selects the historical per-job placement; 1 is
-	// equivalent to it and also dispatches per-job.
+	// negative) and 1 select per-job placement.
 	Chunk int
 	// Cache, when set, is the fleet-wide result cache consulted before
 	// every placement: a hit short-circuits dispatch (the job never
@@ -248,6 +258,18 @@ func NewBalancer(opts BalancerOptions, backends ...Evaluator) *Balancer {
 	if len(backends) == 0 {
 		backends = []Evaluator{New(Options{PrivateCaches: true})}
 	}
+	b := newBalancer(opts)
+	b.mu.Lock()
+	for i, ev := range backends {
+		b.addMemberLocked(ev, backendName(ev, i), false)
+	}
+	b.mu.Unlock()
+	return b
+}
+
+// newBalancer applies the option defaults and starts the health loop
+// over a balancer with no members yet.
+func newBalancer(opts BalancerOptions) *Balancer {
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 2
 	} else if opts.MaxRetries < 0 {
@@ -273,30 +295,45 @@ func NewBalancer(opts BalancerOptions, backends ...Evaluator) *Balancer {
 		interval:     opts.HealthInterval,
 		probeTimeout: opts.ProbeTimeout,
 		threshold:    opts.FailThreshold,
+		width:        opts.Width,
 		chunk:        opts.Chunk,
 		cache:        opts.Cache,
 		revived:      make(chan struct{}),
 		stop:         make(chan struct{}),
 	}
 	b.cond = sync.NewCond(&b.mu)
-	for i, ev := range backends {
-		w := LocalStats(ev).Workers
-		if w <= 0 {
-			w = opts.Width
-		}
-		b.members = append(b.members, &member{
-			ev:      ev,
-			name:    backendName(ev, i),
-			width:   w,
-			healthy: true,
-			down:    make(chan struct{}),
-		})
-		b.slots += w
-	}
 	if b.interval > 0 {
 		go b.healthLoop()
 	}
 	return b
+}
+
+// addMemberLocked starts placing jobs on ev, healthy until evidence
+// says otherwise. Callers hold b.mu and broadcast on b.cond once they
+// release it, so waiting placement loops see the new slots.
+func (b *Balancer) addMemberLocked(ev Evaluator, name string, standby bool) *member {
+	w := LocalStats(ev).Workers
+	if w <= 0 {
+		w = b.width
+	}
+	m := &member{ev: ev, name: name, width: w, standby: standby, healthy: true, down: make(chan struct{})}
+	b.members = append(b.members, m)
+	return m
+}
+
+// retireLocked stops placing jobs on m. Its in-flight jobs keep
+// running, and its scorecard and stats stay reported. Callers hold b.mu
+// and broadcast once they release it, so waiters re-evaluate placement.
+func (b *Balancer) retireLocked(m *member) { m.retired = true }
+
+// queueDepth returns how many jobs wait in placement loops for a slot.
+func (b *Balancer) queueDepth() int { return int(b.queued.Load()) }
+
+// snapshot returns the current member list, retired members included.
+func (b *Balancer) snapshot() []*member {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.members
 }
 
 // backendName labels one backend for health reports: its peer URL when
@@ -319,11 +356,13 @@ func backendName(ev Evaluator, i int) string {
 	}
 }
 
-// Size returns the number of backends behind the balancer.
-func (b *Balancer) Size() int { return len(b.members) }
+// Size returns the number of backends behind the balancer, retired
+// members included (their counters still report).
+func (b *Balancer) Size() int { return len(b.snapshot()) }
 
-// Backend returns backend i, for stats drill-down and tests.
-func (b *Balancer) Backend(i int) Evaluator { return b.members[i].ev }
+// Backend returns backend i, for stats drill-down and tests. Members
+// are only ever appended, so an index observed via Size stays valid.
+func (b *Balancer) Backend(i int) Evaluator { return b.snapshot()[i].ev }
 
 // MaxRetries returns the per-job failover budget.
 func (b *Balancer) MaxRetries() int { return b.maxRetries }
@@ -332,7 +371,7 @@ func (b *Balancer) MaxRetries() int { return b.maxRetries }
 // first) the balancer has performed over its lifetime.
 func (b *Balancer) Retries() uint64 { return b.retries.Load() }
 
-// Chunk returns the configured chunk cap (0: per-job dispatch).
+// Chunk returns the configured chunk cap (0 or 1: per-job dispatch).
 func (b *Balancer) Chunk() int { return b.chunk }
 
 // Chunks returns how many chunked dispatch units the balancer has
@@ -361,7 +400,7 @@ func (b *Balancer) Health() []BackendHealth {
 	for i, m := range b.members {
 		out[i] = BackendHealth{
 			Name:            m.name,
-			Healthy:         m.healthy,
+			Healthy:         m.healthy && !m.retired,
 			Width:           m.width,
 			Inflight:        m.inflight,
 			Dispatched:      m.dispatched,
@@ -373,6 +412,8 @@ func (b *Balancer) Health() []BackendHealth {
 			Chunks:          m.chunks,
 			ChunkResumes:    m.chunkResumes,
 			CapacityScrapes: m.capScrapes,
+			Retired:         m.retired,
+			Standby:         m.standby,
 			LastError:       m.lastErr,
 		}
 		if m.cap != nil {
@@ -408,12 +449,13 @@ func (b *Balancer) Close() error {
 	b.stopOnce.Do(func() {
 		b.mu.Lock()
 		b.closed = true
+		members := b.members
 		b.mu.Unlock()
 		close(b.stop)
 		b.cond.Broadcast()
-		errs := make([]error, len(b.members), len(b.members)+1)
+		errs := make([]error, len(members), len(members)+1)
 		var wg sync.WaitGroup
-		for i, m := range b.members {
+		for i, m := range members {
 			wg.Add(1)
 			go func(i int, ev Evaluator) {
 				defer wg.Done()
@@ -457,74 +499,6 @@ func (b *Balancer) Stream(ctx context.Context, jobs []Job) <-chan Result {
 	return out
 }
 
-// dispatch resolves every job exactly once through emit(jobIndex,
-// result). Placement goroutines are admitted up to the fleet's total
-// slot count: beyond that a batch waits cheaply on the admission
-// channel instead of parking one cond waiter per job, which would cost
-// O(jobs²) wakeups on big manifests (every completion broadcasts to
-// every waiter). A watcher broadcasts on the context ending so slot
-// waiters observe the cancellation.
-func (b *Balancer) dispatch(ctx context.Context, jobs []Job, emit func(int, Result)) {
-	if len(jobs) == 0 {
-		return
-	}
-	if b.chunk > 1 {
-		b.dispatchChunked(ctx, jobs, emit)
-		return
-	}
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Broadcast under mu: a waiter that checked ctx.Err() just
-			// before the cancellation still holds mu until its Wait
-			// parks it, so taking the lock here orders this wakeup
-			// after that park — an unlocked Broadcast could fire into
-			// the gap and strand the waiter forever.
-			b.mu.Lock()
-			b.cond.Broadcast()
-			b.mu.Unlock()
-		case <-watchDone:
-		}
-	}()
-	sem := make(chan struct{}, b.slots)
-	var wg sync.WaitGroup
-	for i := range jobs {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			emit(i, Result{ID: jobs[i].ID, Err: ctx.Err(), Worker: -1})
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if r, ok := b.cachedResult(ctx, jobs[i]); ok {
-				emit(i, r)
-				return
-			}
-			emit(i, b.runJob(ctx, jobs[i]))
-		}(i)
-	}
-	wg.Wait()
-	close(watchDone)
-}
-
-// cachedResult consults the result cache for one job before placement;
-// a hit is a finished job that never touches a backend.
-func (b *Balancer) cachedResult(ctx context.Context, j Job) (Result, bool) {
-	if b.cache == nil || j.Spec == nil {
-		return Result{}, false
-	}
-	v, ok := b.cache.Lookup(ctx, j.Spec)
-	if !ok {
-		return Result{}, false
-	}
-	b.cacheHits.Add(1)
-	return Result{ID: j.ID, Value: v, Worker: -1}, true
-}
-
 // cacheStore records one successful result in the result cache,
 // best-effort — called outside b.mu because a tiered cache fans the
 // fill out to peers.
@@ -537,7 +511,7 @@ func (b *Balancer) cacheStore(ctx context.Context, j Job, v any) {
 
 // filterCached resolves every cache-hit job up front — concurrently,
 // since a miss may cost a peer round-trip — and returns the indices
-// still needing dispatch, so a hot job never rides a chunk.
+// still needing dispatch, so a hot job never takes a slot.
 func (b *Balancer) filterCached(ctx context.Context, jobs []Job, emit func(int, Result)) []int {
 	hit := make([]bool, len(jobs))
 	vals := make([]any, len(jobs))
@@ -568,141 +542,50 @@ func (b *Balancer) filterCached(ctx context.Context, jobs []Job, emit func(int, 
 	return pending
 }
 
-// runJob places one job, retrying backend-level failures on other
-// backends within the failover budget. Backends already tried are
-// excluded until every backend has been — a budget larger than the set
-// then starts a fresh pass, so a revived backend gets another chance.
-func (b *Balancer) runJob(ctx context.Context, j Job) Result {
-	exclude := make(map[*member]bool)
-	var last Result
-	for attempt := 0; ; attempt++ {
-		m, err := b.acquire(ctx, exclude)
-		if err == errAllTried {
-			exclude = make(map[*member]bool)
-			m, err = b.acquire(ctx, exclude)
-		}
-		if err != nil {
-			return Result{ID: j.ID, Err: err, Worker: -1}
-		}
-		if attempt > 0 {
-			b.retries.Add(1)
-		}
-		last = b.attempt(ctx, m, j)
-		if !Retryable(last.Err) {
-			return last
-		}
-		// Backend-level failure: book it as a failover exactly when the
-		// job is re-dispatched, as a terminal failure when the budget
-		// is spent — so the scorecards mean what they say.
-		b.mu.Lock()
-		if attempt >= b.maxRetries {
-			m.failed++
-			b.mu.Unlock()
-			return last
-		}
-		m.failovers++
-		b.mu.Unlock()
-		exclude[m] = true
-	}
-}
-
 // errAllTried is acquire's signal that every backend is excluded for
 // this job — the caller decides whether the retry budget allows a fresh
 // pass.
 var errAllTried = errors.New("engine: every backend already tried")
 
-// acquire reserves a dispatch slot: the healthy non-excluded backend
-// with the fewest in-flight jobs and a free slot, ties rotated. When
-// every non-excluded backend is unhealthy, the least-loaded unhealthy
-// one is used as a last resort (its failure re-confirms it is down and
-// keeps all-backends-down batches resolving instead of hanging). When
-// eligible backends exist but all slots are taken, acquire waits for a
-// release, a health change, cancellation, or Close.
-func (b *Balancer) acquire(ctx context.Context, exclude map[*member]bool) (*member, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if b.closed {
-			return nil, ErrClosed
-		}
-		start := b.rr
-		b.rr++
-		var best *member
-		allTried, healthyLeft := true, false
-		for k := range b.members {
-			m := b.members[(start+k)%len(b.members)]
-			if exclude[m] {
-				continue
-			}
-			allTried = false
-			if m.healthy {
-				healthyLeft = true
-				// freeSlotsLocked refines the static width with the live
-				// worker count a capacity scrape reported, so a peer
-				// that shrank sheds load before it wedges.
-				if m.freeSlotsLocked() > 0 && (best == nil || m.inflight < best.inflight) {
-					best = m
-				}
-			}
-		}
-		if allTried {
-			return nil, errAllTried
-		}
-		if best == nil && !healthyLeft {
-			for k := range b.members {
-				m := b.members[(start+k)%len(b.members)]
-				if exclude[m] || m.freeSlotsLocked() <= 0 {
-					continue
-				}
-				if best == nil || m.inflight < best.inflight {
-					best = m
-				}
-			}
-		}
-		if best != nil {
-			best.inflight++
-			best.dispatched++
-			return best, nil
-		}
-		b.cond.Wait()
-	}
-}
-
-// chunkItem is one job's book-keeping in the chunked dispatch path: its
-// index in the batch, how many attempts it has consumed, and the
-// backends excluded by earlier failures. An item is owned by exactly
-// one party at a time — the dispatch loop while queued, one chunk
-// attempt while in flight — so its fields need no lock of their own.
+// chunkItem is one job's book-keeping in the placement loop: its index
+// in the batch, how many attempts it has consumed, and the backends
+// excluded by earlier failures. An item is owned by exactly one party
+// at a time — the dispatch loop while queued, one attempt while in
+// flight — so its fields need no lock of their own.
 type chunkItem struct {
 	idx     int
 	attempt int
 	exclude map[*member]bool
 }
 
-// dispatchChunked resolves every job exactly once through emit, moving
-// jobs in chunks of up to b.chunk instead of one at a time: a chunk
-// rides one dispatch unit (one /v1/suite NDJSON stream on a
-// ChunkDispatcher backend), each arriving row acknowledges its job, and
-// a severed chunk re-queues only its unresolved jobs — so failover
-// costs re-running the jobs a dying backend actually dropped, not the
-// whole chunk, and a healthy sweep pays one request per chunk instead
-// of one per job.
+// dispatch resolves every job exactly once through emit(jobIndex,
+// result), moving jobs in chunks of up to the chunk cap: each arriving
+// result acknowledges its job, and an attempt re-queues only the jobs
+// it left unresolved or lost to a backend-level failure — so failover
+// costs re-running the jobs a dying backend actually dropped, and a
+// healthy chunked sweep pays one request per chunk instead of one per
+// job.
 //
 // A single placement loop owns the queue: it waits for a slot on the
 // best backend (most free slots, refined by scraped capacity), pops the
 // largest admissible chunk, and hands it to a concurrent attempt.
 // Attempts re-queue unresolved or retryable items and wake the loop;
-// the loop exits when the queue is empty and nothing is in flight.
-func (b *Balancer) dispatchChunked(ctx context.Context, jobs []Job, emit func(int, Result)) {
+// the loop exits when the queue is empty and nothing is in flight. A
+// watcher broadcasts on the context ending so slot waiters observe the
+// cancellation.
+func (b *Balancer) dispatch(ctx context.Context, jobs []Job, emit func(int, Result)) {
+	if len(jobs) == 0 {
+		return
+	}
 	watchDone := make(chan struct{})
 	go func() {
 		select {
 		case <-ctx.Done():
-			// See dispatch: Broadcast under mu so a waiter between its
-			// ctx check and its park cannot miss the wakeup.
+			// Broadcast under mu: a waiter that checked ctx.Err() just
+			// before the cancellation still holds mu until its Wait
+			// parks it, so taking the lock here orders this wakeup
+			// after that park — an unlocked Broadcast could fire into
+			// the gap and strand the waiter forever.
 			b.mu.Lock()
 			b.cond.Broadcast()
 			b.mu.Unlock()
@@ -731,6 +614,7 @@ func (b *Balancer) dispatchChunked(ctx context.Context, jobs []Job, emit func(in
 	for _, i := range pending {
 		queue = append(queue, &chunkItem{idx: i, exclude: map[*member]bool{}})
 	}
+	b.queued.Add(int64(len(queue)))
 	signal := func() {
 		select {
 		case wake <- struct{}{}:
@@ -758,7 +642,7 @@ func (b *Balancer) dispatchChunked(ctx context.Context, jobs []Job, emit func(in
 		// so the oldest re-queued job cannot starve behind fresh ones —
 		// then widen the chunk with other items that admit the same
 		// backend.
-		m, want, err := b.acquireChunk(ctx, front.exclude)
+		m, want, err := b.acquire(ctx, front.exclude)
 		if err == errAllTried {
 			clear(front.exclude)
 			continue
@@ -771,6 +655,7 @@ func (b *Balancer) dispatchChunked(ctx context.Context, jobs []Job, emit func(in
 			rest := queue
 			queue = nil
 			mu.Unlock()
+			b.queued.Add(-int64(len(rest)))
 			for _, it := range rest {
 				emit(it.idx, Result{ID: jobs[it.idx].ID, Err: err, Worker: -1})
 			}
@@ -790,6 +675,7 @@ func (b *Balancer) dispatchChunked(ctx context.Context, jobs []Job, emit func(in
 		queue = rest
 		inflight += len(take)
 		mu.Unlock()
+		b.queued.Add(-int64(len(take)))
 		if extra := want - len(take); extra > 0 {
 			b.releaseSlots(m, extra)
 		}
@@ -806,24 +692,30 @@ func (b *Balancer) dispatchChunked(ctx context.Context, jobs []Job, emit func(in
 		wg.Add(1)
 		go func(m *member, take []*chunkItem) {
 			defer wg.Done()
-			requeue := b.attemptChunk(ctx, m, jobs, take, emit)
+			requeue := b.attempt(ctx, m, jobs, take, emit)
 			mu.Lock()
 			queue = append(queue, requeue...)
 			inflight -= len(take)
 			mu.Unlock()
+			b.queued.Add(int64(len(requeue)))
 			signal()
 		}(m, take)
 	}
 }
 
-// acquireChunk reserves up to b.chunk dispatch slots on one backend:
-// the healthy non-excluded backend with the most free slots (static
-// width refined by the live worker count a capacity scrape reported),
-// the chunk capped further by the peer's scraped free workers so a
-// busy peer sheds load. The same last-resort and errAllTried rules as
-// acquire apply; the caller returns unused reservations through
-// releaseSlots.
-func (b *Balancer) acquireChunk(ctx context.Context, exclude map[*member]bool) (*member, int, error) {
+// acquire reserves up to the chunk cap's worth of dispatch slots on one
+// backend: the healthy non-excluded backend with the most free slots
+// (static width refined by the live worker count a capacity scrape
+// reported), the chunk capped further by the peer's scraped free
+// workers so a busy peer sheds load. When every non-excluded backend is
+// unhealthy, the one with the most free slots is used as a last resort
+// (its failure re-confirms it is down and keeps all-backends-down
+// batches resolving instead of hanging). When every backend is
+// excluded, acquire returns errAllTried; when eligible backends exist
+// but all slots are taken, it waits for a release, a health or
+// membership change, cancellation, or Close. The caller returns unused
+// reservations through releaseSlots.
+func (b *Balancer) acquire(ctx context.Context, exclude map[*member]bool) (*member, int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
@@ -840,7 +732,7 @@ func (b *Balancer) acquireChunk(ctx context.Context, exclude map[*member]bool) (
 		allTried, healthyLeft := true, false
 		for k := range b.members {
 			m := b.members[(start+k)%len(b.members)]
-			if exclude[m] {
+			if exclude[m] || m.retired {
 				continue
 			}
 			allTried = false
@@ -858,7 +750,7 @@ func (b *Balancer) acquireChunk(ctx context.Context, exclude map[*member]bool) (
 		if best == nil && !healthyLeft {
 			for k := range b.members {
 				m := b.members[(start+k)%len(b.members)]
-				if exclude[m] {
+				if exclude[m] || m.retired {
 					continue
 				}
 				if free := m.freeSlotsLocked(); free > 0 && (best == nil || free > bestFree) {
@@ -867,10 +759,7 @@ func (b *Balancer) acquireChunk(ctx context.Context, exclude map[*member]bool) (
 			}
 		}
 		if best != nil {
-			n := bestFree
-			if n > b.chunk {
-				n = b.chunk
-			}
+			n := min(bestFree, max(1, b.chunk))
 			// Live capacity caps the chunk further — including Free 0,
 			// which caps to the 1-job minimum: a saturated peer must
 			// shed load, not receive the largest chunk. Scrapes with no
@@ -898,24 +787,44 @@ func (b *Balancer) releaseSlots(m *member, n int) {
 	b.cond.Broadcast()
 }
 
-// attemptChunk runs one chunk on one backend, resolving acknowledged
-// jobs and returning the items the dispatch loop must re-queue: jobs
-// the chunk left unresolved (the stream was severed under them) and
-// jobs whose acknowledged result is a backend-level failure within the
-// retry budget. The same abandonment watch as attempt covers the whole
-// chunk: a backend declared dead mid-chunk has the chunk cancelled,
-// and its unresolved jobs move on without waiting out the wedge.
-func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, items []*chunkItem, emit func(int, Result)) []*chunkItem {
+// attempt runs one chunk on one backend, resolving acknowledged jobs
+// and returning the items the dispatch loop must re-queue: jobs the
+// chunk left unresolved (the stream was severed under them) and jobs
+// whose result is a backend-level failure within the retry budget. A
+// 1-job chunk, and any chunk on a backend without the chunk
+// capability, runs as one Run batch; a multi-job chunk on a
+// ChunkDispatcher runs as one acknowledged stream.
+//
+// While the attempt is in flight it watches an abandonment signal: for
+// a healthy member, its down channel — a backend declared dead
+// mid-attempt (a failed probe, another job's backend-level failure)
+// has its attempt abandoned and re-classified ErrUnavailable, so a
+// wedged-but-connected peer — a network partition, a stopped process
+// holding its TCP connections open — cannot hold the jobs hostage past
+// the health verdict. For a member already unhealthy at dispatch (the
+// all-backends-down last resort) the watch is the balancer-wide
+// revived signal instead: the attempt runs (there is nowhere better to
+// go, and a success redeems the backend) until some other backend
+// comes back, at which point the jobs abandon the wedge and
+// re-dispatch to the survivor.
+func (b *Balancer) attempt(ctx context.Context, m *member, jobs []Job, items []*chunkItem, emit func(int, Result)) []*chunkItem {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	stop := make(chan struct{})
 	go b.watchAttempt(m, stop, cancel)
 
+	// Chunk units are counted only when chunking is configured, so a
+	// per-job front reports no chunks at all.
+	chunked := b.chunk > 1
 	b.mu.Lock()
 	m.dispatched += uint64(len(items))
-	m.chunks++
+	if chunked {
+		m.chunks++
+	}
 	b.mu.Unlock()
-	b.chunks.Add(1)
+	if chunked {
+		b.chunks.Add(1)
+	}
 
 	chunkJobs := make([]Job, len(items))
 	for i, it := range items {
@@ -924,7 +833,7 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, item
 	resolved := make([]bool, len(items))
 	results := make([]Result, len(items))
 	var chunkErr error
-	if cd, ok := m.ev.(ChunkDispatcher); ok {
+	if cd, ok := m.ev.(ChunkDispatcher); ok && len(items) > 1 {
 		chunkErr = cd.DispatchChunk(actx, chunkJobs, func(i int, r Result) {
 			if i < 0 || i >= len(items) || resolved[i] {
 				return
@@ -932,9 +841,6 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, item
 			resolved[i], results[i] = true, r
 		})
 	} else {
-		// Backends without the chunk capability run the chunk as one
-		// Run batch — every result arrives together, which is still one
-		// dispatch decision per chunk.
 		rs, _ := m.ev.Run(actx, chunkJobs)
 		for i := range items {
 			if i < len(rs) {
@@ -942,7 +848,7 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, item
 			}
 		}
 		if len(rs) < len(items) {
-			chunkErr = fmt.Errorf("engine: backend %s returned %d results for a %d-job chunk: %w",
+			chunkErr = fmt.Errorf("engine: backend %s returned %d results for %d jobs: %w",
 				m.name, len(rs), len(items), ErrUnavailable)
 		}
 	}
@@ -967,14 +873,14 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, item
 					m.name, chunkJobs[i].ID, ErrUnavailable)
 			}
 			if abandoned {
-				err = fmt.Errorf("engine: chunk on %s abandoned after the fleet's health changed: %w",
+				err = fmt.Errorf("engine: attempt on %s abandoned after the fleet's health changed: %w",
 					m.name, ErrUnavailable)
 			}
 			r = Result{ID: chunkJobs[i].ID, Err: err, Worker: -1}
 		} else if r.Err != nil && abandoned {
-			// The balancer abandoned the chunk, not the caller: the
+			// The balancer abandoned the attempt, not the caller: the
 			// failure is backend-level, so the job may run elsewhere.
-			r.Err = fmt.Errorf("engine: chunk attempt on %s abandoned after the fleet's health changed: %w",
+			r.Err = fmt.Errorf("engine: attempt on %s abandoned after the fleet's health changed: %w",
 				m.name, ErrUnavailable)
 			r.Worker = -1
 		}
@@ -1003,10 +909,10 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, item
 			toEmit = append(toEmit, pending{it.idx, r})
 		}
 	}
-	// Mirror the per-job attempt's health scoring: evidence the backend
-	// ran jobs (a success, or a job-level failure) clears the failure
-	// streak before this chunk's own backend-level failures count
-	// against it, so a live backend is not marked down by stale streaks.
+	// Evidence the backend ran jobs (a success, or a job-level failure)
+	// clears the failure streak before this attempt's own backend-level
+	// failures count against it, so a live backend is not marked down
+	// by stale streaks.
 	if sawSuccess {
 		b.setHealthLocked(m, true)
 	} else if sawJobLevel {
@@ -1018,7 +924,7 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, item
 			b.setHealthLocked(m, false)
 		}
 	}
-	if len(requeue) > 0 {
+	if chunked && len(requeue) > 0 {
 		m.chunkResumes++
 		b.chunkResumes.Add(1)
 	}
@@ -1031,72 +937,6 @@ func (b *Balancer) attemptChunk(ctx context.Context, m *member, jobs []Job, item
 		emit(p.idx, p.r)
 	}
 	return requeue
-}
-
-// attempt runs one job on one backend as a single-job batch — the
-// granularity at which placement and failover operate — then releases
-// the slot and scores the outcome.
-//
-// While the attempt is in flight it watches an abandonment signal: for
-// a healthy member, its down channel — a backend declared dead
-// mid-attempt (a failed probe, another job's backend-level failure)
-// has its attempt abandoned and re-classified ErrUnavailable, so a
-// wedged-but-connected peer — a network partition, a stopped process
-// holding its TCP connections open — cannot hold the job hostage past
-// the health verdict. For a member already unhealthy at dispatch (the
-// all-backends-down last resort) the watch is the balancer-wide
-// revived signal instead: the attempt runs (there is nowhere better to
-// go, and a success redeems the backend) until some other backend
-// comes back, at which point the job abandons the wedge and
-// re-dispatches to the survivor.
-func (b *Balancer) attempt(ctx context.Context, m *member, j Job) Result {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := make(chan struct{})
-	defer close(stop)
-	go b.watchAttempt(m, stop, cancel)
-
-	rs, _ := m.ev.Run(actx, []Job{j})
-	var r Result
-	if len(rs) >= 1 {
-		r = rs[0]
-	} else {
-		r = Result{ID: j.ID, Worker: -1,
-			Err: fmt.Errorf("engine: backend %s returned no result: %w", m.name, ErrUnavailable)}
-	}
-	if r.Err != nil && actx.Err() != nil && ctx.Err() == nil {
-		// The balancer abandoned the attempt, not the caller: make the
-		// failure backend-level so the job is re-run elsewhere.
-		r.Err = fmt.Errorf("engine: attempt on %s abandoned after the fleet's health changed: %w", m.name, ErrUnavailable)
-		r.Worker = -1
-	}
-
-	b.mu.Lock()
-	m.inflight--
-	switch {
-	case r.Err == nil:
-		m.completed++
-		b.setHealthLocked(m, true)
-	case Retryable(r.Err):
-		// Health scoring only — whether this failure becomes a
-		// failover (re-dispatched) or a terminal failure is runJob's
-		// call, which owns the retry budget.
-		m.consecutive++
-		m.lastErr = r.Err.Error()
-		if m.consecutive >= b.threshold {
-			b.setHealthLocked(m, false)
-		}
-	default:
-		// The job ran and failed on its own terms; the backend is fine.
-		m.failed++
-		m.consecutive = 0
-	}
-	b.mu.Unlock()
-	b.cond.Broadcast()
-	if r.Err == nil {
-		b.cacheStore(ctx, j, r.Value)
-	}
-	return r
 }
 
 // watchAttempt watches one in-flight attempt on m and cancels it when
@@ -1126,7 +966,7 @@ func (b *Balancer) watchAttempt(m *member, stop <-chan struct{}, cancel context.
 			// A revival fired elsewhere while m stayed down: move the
 			// job if somewhere healthy actually exists right now.
 			for _, o := range b.members {
-				if o != m && o.healthy {
+				if o != m && o.healthy && !o.retired {
 					abandon = true
 					break
 				}
@@ -1154,12 +994,20 @@ func (b *Balancer) healthLoop() {
 	}
 }
 
-// ProbeNow probes every backend once, concurrently, and applies the
-// verdicts — the health loop's body, exported so tests (and callers
+// ProbeNow probes every live backend once, concurrently, and applies
+// the verdicts — the health loop's body, exported so tests (and callers
 // that just revived a peer) can force a deterministic round.
 func (b *Balancer) ProbeNow(ctx context.Context) {
-	var wg sync.WaitGroup
+	b.mu.Lock()
+	var live []*member
 	for _, m := range b.members {
+		if !m.retired {
+			live = append(live, m)
+		}
+	}
+	b.mu.Unlock()
+	var wg sync.WaitGroup
+	for _, m := range live {
 		wg.Add(1)
 		go func(m *member) {
 			defer wg.Done()
@@ -1225,17 +1073,21 @@ func (b *Balancer) scrapeCapacity(ctx context.Context, m *member) {
 }
 
 // Capacity answers the CapacityReporter query from the balancer's
-// tracked state — the members' most recent scrapes where one exists,
-// local counters otherwise — so nested balancers report fleet capacity
-// without a fresh network round.
+// tracked state — the live members' most recent scrapes where one
+// exists, local counters otherwise — so nested balancers report fleet
+// capacity without a fresh network round. Queue also counts the jobs
+// waiting in the balancer's own placement loops.
 func (b *Balancer) Capacity(context.Context) (Capacity, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return Capacity{}, ErrClosed
 	}
-	var t Capacity
+	t := Capacity{Queue: b.queueDepth()}
 	for _, m := range b.members {
+		if m.retired {
+			continue
+		}
 		if m.cap != nil {
 			t.Workers += m.cap.Workers
 			t.Busy += m.cap.Busy
@@ -1253,18 +1105,22 @@ func (b *Balancer) Capacity(context.Context) (Capacity, error) {
 }
 
 // Probe reports the balancer's own aggregate verdict — alive while any
-// backend is marked healthy — so balancers nest behind other balancers.
-// It reads only tracked state; no backend is contacted.
+// live backend is marked healthy — so balancers nest behind other
+// balancers. It reads only tracked state; no backend is contacted.
 func (b *Balancer) Probe(context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return ErrClosed
 	}
+	live := 0
 	for _, m := range b.members {
-		if m.healthy {
-			return nil
+		if !m.retired {
+			if m.healthy {
+				return nil
+			}
+			live++
 		}
 	}
-	return fmt.Errorf("%w: all %d backends unhealthy", ErrUnavailable, len(b.members))
+	return fmt.Errorf("%w: all %d backends unhealthy", ErrUnavailable, live)
 }

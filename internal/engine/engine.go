@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,12 @@ var ErrUnavailable = errors.New("engine: backend unavailable")
 // ran. A deadline or cancellation that arrived on the caller's context
 // is reported as that context's error instead.
 var ErrTimeout = errors.New("engine: job timeout")
+
+// ErrPanic wraps the failure of a job whose Fn panicked. The engine
+// recovers the panic, so one bad job cannot take down the pool or the
+// jobs beside it; the error carries the panic value and the stack. It
+// is a job-level failure, so a Balancer never retries it.
+var ErrPanic = errors.New("engine: job panicked")
 
 // Options configure an Engine.
 type Options struct {
@@ -384,7 +391,7 @@ func (e *Engine) execute(worker int, t task) Result {
 		defer cancel()
 	}
 	start := time.Now()
-	r.Value, r.Err = t.job.Fn(ctx)
+	r.Value, r.Err = call(ctx, t.job.Fn)
 	r.Elapsed = time.Since(start)
 	// A deadline the engine itself imposed surfaces as the typed
 	// ErrTimeout; a deadline or cancellation that was already on the
@@ -401,4 +408,14 @@ func (e *Engine) execute(worker int, t task) Result {
 		}
 	}
 	return r
+}
+
+// call runs fn, turning a panic into an error wrapping ErrPanic.
+func call(ctx context.Context, fn func(context.Context) (any, error)) (v any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			v, err = nil, fmt.Errorf("%w: %v\n%s", ErrPanic, p, debug.Stack())
+		}
+	}()
+	return fn(ctx)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -246,5 +247,61 @@ func TestRaceStress(t *testing.T) {
 	}
 	if ps.Hits+ps.Misses != 300 {
 		t.Errorf("cache lookups = %d, want 300", ps.Hits+ps.Misses)
+	}
+}
+
+// TestJobPanicIsContained pins crash containment: a panicking job
+// resolves as its own failure wrapping ErrPanic, with the panic value
+// and stack, while the jobs beside it succeed and the engine keeps
+// serving. Behind a Balancer the failure is job-level, never retried.
+func TestJobPanicIsContained(t *testing.T) {
+	e := New(Options{Workers: 2, PrivateCaches: true})
+	defer e.Close()
+
+	ok := func(v int) func(context.Context) (any, error) {
+		return func(context.Context) (any, error) { return v, nil }
+	}
+	jobs := []Job{
+		{ID: "a", Fn: ok(1)},
+		{ID: "boom", Fn: func(context.Context) (any, error) { panic("kaboom") }},
+		{ID: "b", Fn: ok(2)},
+		{ID: "c", Fn: ok(3)},
+	}
+	rs, err := e.Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if i == 1 {
+			if !errors.Is(r.Err, ErrPanic) || !strings.Contains(r.Err.Error(), "kaboom") ||
+				!strings.Contains(r.Err.Error(), "goroutine") {
+				t.Errorf("panicking job = %v, want ErrPanic with the value and stack", r.Err)
+			}
+			if Retryable(r.Err) {
+				t.Error("a panic is job-level, yet Retryable reports it as a backend failure")
+			}
+			continue
+		}
+		if r.Err != nil {
+			t.Errorf("job %s failed beside the panic: %v", r.ID, r.Err)
+		}
+	}
+	if st := e.Stats(); st.Failed != 1 || st.Completed != 3 {
+		t.Errorf("stats %+v, want 3 completed and 1 failed", st)
+	}
+
+	// The pool survived: a balancer over it still serves, and does not
+	// retry the panic elsewhere.
+	b := NewBalancer(BalancerOptions{HealthInterval: -1}, New(Options{Workers: 1, PrivateCaches: true}))
+	defer b.Close()
+	rs, _ = b.Run(context.Background(), jobs)
+	if !errors.Is(rs[1].Err, ErrPanic) || rs[0].Err != nil || rs[3].Err != nil {
+		t.Errorf("balanced run = %+v, want only the panicking job failed", rs)
+	}
+	if got := b.Retries(); got != 0 {
+		t.Errorf("balancer retried the panicking job %d times, want 0", got)
+	}
+	if rs, err := e.Run(context.Background(), jobs[:1]); err != nil || rs[0].Err != nil {
+		t.Errorf("engine after the panic = (%+v, %v), want it still serving", rs, err)
 	}
 }

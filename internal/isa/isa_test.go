@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/ternary"
 )
@@ -244,20 +243,24 @@ func TestEncodeIsInjective(t *testing.T) {
 	}
 }
 
-func TestDecodeTotalOverRandomWords(t *testing.T) {
-	// Decode must never panic on arbitrary valid ternary words, and any
-	// successful decode must re-encode to the same word.
-	f := func(v int16) bool {
-		w := ternary.FromInt(int(v) * 7)
+func TestDecodeTotalOverAllWords(t *testing.T) {
+	// The word space is small (3^9 = 19683), so check it exhaustively:
+	// Decode must never panic, and every legal word must re-encode to
+	// itself.
+	legal := 0
+	for v := ternary.MinInt; v <= ternary.MaxInt; v++ {
+		w := ternary.FromInt(v)
 		in, err := Decode(w)
 		if err != nil {
-			return true // illegal instruction is fine
+			continue // illegal instruction is fine
 		}
-		w2, err := Encode(in)
-		return err == nil && w2 == w
+		legal++
+		if w2, err := Encode(in); err != nil || w2 != w {
+			t.Fatalf("word %v decodes to %v, which re-encodes to (%v, %v)", w, in, w2, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+	if legal == 0 {
+		t.Fatal("no word of the 3^9 space decodes")
 	}
 }
 

@@ -312,6 +312,18 @@ func TestChunkedDispatchFewerRequests(t *testing.T) {
 				t.Fatalf("job %s failed: %v", r.ID, r.Err)
 			}
 		}
+		// Per-job placement issues no chunk units, so a failover report
+		// without a chunk cap carries no chunk counters.
+		if chunk <= 1 {
+			if got := b.Chunks(); got != 0 {
+				t.Errorf("per-job dispatch counted %d chunks, want 0", got)
+			}
+			for _, h := range b.Health() {
+				if h.Chunks != 0 || h.ChunkResumes != 0 {
+					t.Errorf("per-job backend %s counted %d chunks, %d resumes, want none", h.Name, h.Chunks, h.ChunkResumes)
+				}
+			}
+		}
 		return requests.Load()
 	}
 
