@@ -213,8 +213,8 @@ func ReproduceTables() (string, error) { return bench.AllTables() }
 type (
 	// Evaluator is the one backend interface of the evaluation stack:
 	// Run (submission-order batch), Stream (completion-order channel),
-	// Stats, Close. A local worker pool (Engine), a partition over
-	// other evaluators (ShardSet) and an HTTP client proxying to a
+	// Stats, Close. A local worker pool (Engine), a fleet front over
+	// other evaluators (Balancer) and an HTTP client proxying to a
 	// remote art9-serve instance all implement it and compose freely;
 	// build one with New.
 	Evaluator = engine.Evaluator
@@ -229,14 +229,11 @@ type (
 	EngineResult = engine.Result
 	// EngineStats are an evaluator's lifetime counters.
 	EngineStats = engine.Stats
-	// ShardSet partitions batches round-robin across backends — local
-	// engines, remote peers, or other shard sets — and merges their
-	// completion-order streams.
-	ShardSet = engine.ShardSet
-	// Balancer is the health-aware failover front: least-loaded
-	// dispatch over any mix of backends, periodic liveness probes, and
-	// bounded job-level failover when a backend dies mid-suite. Build
-	// one with New(WithFailover(), ...).
+	// Balancer is the one fleet front: least-loaded dispatch over any
+	// mix of backends, periodic liveness probes, and bounded job-level
+	// failover when a backend dies mid-suite. New builds one whenever
+	// there is more than one backend (New(WithShards(n)),
+	// New(WithPeers(a, b))), and over a lone backend with WithFailover.
 	Balancer = engine.Balancer
 	// BackendHealth is one balanced backend's dispatch/failover/probe
 	// scorecard, as reported by Balancer.Health and BENCH reports.
@@ -244,7 +241,7 @@ type (
 	// Capacity is a backend's point-in-time load snapshot (live
 	// workers, busy, free, queue depth) — served by GET /v1/capacity,
 	// scraped by the Balancer's probe loop, and used to size chunked
-	// dispatch (New(WithFailover(), WithChunk(n), ...)).
+	// dispatch (New(WithPeers(a, b), WithChunk(n))).
 	Capacity = engine.Capacity
 	// Autoscaler is the elastic front: a scale policy over an embedded
 	// Balancer whose pool of local shards grows and shrinks between
@@ -277,7 +274,7 @@ var (
 	// responds to by re-running the job elsewhere.
 	ErrUnavailable = engine.ErrUnavailable
 	// ErrInvalidOptions wraps New's rejection of incoherent option
-	// combinations — failover tuning without WithFailover, autoscale
+	// combinations — failover tuning without a Balancer front, autoscale
 	// tuning without WithAutoscale, inverted bounds or thresholds. The
 	// message names the offending options.
 	ErrInvalidOptions = engine.ErrInvalidOptions

@@ -12,13 +12,13 @@
 //	                                             # fan the manifest out across
 //	                                             # remote art9-serve instances
 //	                                             # (add -shards N to mix in
-//	                                             # local pools)
-//	art9-batch -failover -peers ...              # health-aware dispatch: jobs
+//	                                             # local pools) behind the
+//	                                             # health-aware Balancer: jobs
 //	                                             # on a dying peer are re-run
 //	                                             # on surviving backends; the
 //	                                             # report gains per-backend
 //	                                             # failover counters
-//	art9-batch -failover -chunk 32 -peers ...    # chunked dispatch: up to 32
+//	art9-batch -chunk 32 -peers ...              # chunked dispatch: up to 32
 //	                                             # jobs per backend travel as
 //	                                             # one acknowledged suite
 //	                                             # stream, sized by scraped
@@ -84,10 +84,10 @@ func main() {
 	workers := flag.Int("workers", 0, "worker-pool size per local shard (0: GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "local engine shards (0: one, or none when -peers is set)")
 	peers := flag.String("peers", "", "comma-separated base URLs of art9-serve instances to fan jobs out to")
-	failover := flag.Bool("failover", false, "health-aware dispatch with job-level failover across the backends")
-	healthInterval := flag.Duration("health-interval", 0, "failover health-probe period (0: 2s; negative: probes off)")
-	maxRetries := flag.Int("max-retries", 0, "failover budget per job (0: 2; negative: no retries)")
-	chunk := flag.Int("chunk", 0, "failover chunk size: dispatch up to N jobs per backend as one acknowledged suite stream (0: per-job)")
+	failover := flag.Bool("failover", false, "put the health-aware Balancer front (job-level failover) before a lone backend too; more than one backend always gets it")
+	healthInterval := flag.Duration("health-interval", 0, "Balancer health-probe period (0: 2s; negative: probes off); needs a Balancer front")
+	maxRetries := flag.Int("max-retries", 0, "Balancer failover budget per job (0: 2; negative: no retries); needs a Balancer front")
+	chunk := flag.Int("chunk", 0, "Balancer chunk size: dispatch up to N jobs per backend as one acknowledged suite stream (0: per-job); needs a Balancer front")
 	autoscaleMin := flag.Int("autoscale-min", 0, "elastic pool floor: minimum local shards (0 with -autoscale-max: 1)")
 	autoscaleMax := flag.Int("autoscale-max", 0, "elastic pool ceiling: maximum local shards (0: autoscaling off)")
 	standbyPeers := flag.String("standby-peers", "", "comma-separated art9-serve base URLs dialed only when the elastic pool's local ceiling is exhausted")
@@ -158,9 +158,12 @@ func main() {
 	if *shards > 0 {
 		opts = append(opts, art9.WithShards(*shards))
 	}
+	// The Balancer tuning is vetted above; it applies whenever the
+	// topology gets a Balancer front, with or without -failover.
+	opts = append(opts, art9.WithChunk(*chunk),
+		art9.WithHealthInterval(*healthInterval), art9.WithMaxRetries(*maxRetries))
 	if *failover {
-		opts = append(opts, art9.WithFailover(), art9.WithChunk(*chunk),
-			art9.WithHealthInterval(*healthInterval), art9.WithMaxRetries(*maxRetries))
+		opts = append(opts, art9.WithFailover())
 	}
 	if *autoscaleMin != 0 || *autoscaleMax != 0 {
 		opts = append(opts, art9.WithAutoscale(*autoscaleMin, *autoscaleMax),
@@ -215,7 +218,7 @@ func main() {
 	// pools; remote capacity is the peers field.
 	rep.Engine = bench.RunReportFor(ev)
 	rep.Workers = rep.Engine.Workers
-	// With -failover, record the fleet behaviour: which backends
+	// Behind a Balancer, record the fleet behaviour: which backends
 	// carried the work and how many jobs had to be re-run elsewhere.
 	rep.Balancer = bench.BalancerReportFor(ev)
 

@@ -21,8 +21,8 @@ func fakePeers(n int) []string {
 }
 
 // TestValidateFleetFlags pins the CLI flag-validation contract: failover
-// tuning flags without -failover are an error naming the flags (never a
-// silent no-op), autoscale tuning without -autoscale-max likewise,
+// tuning flags without a Balancer front (-failover, or more than one
+// backend) are an error naming the flags (never a silent no-op), autoscale tuning without -autoscale-max likewise,
 // -failover over a single backend warns, and well-formed topologies
 // pass clean. Every hard error wraps engine.ErrInvalidOptions — the
 // same typed error art9.New returns for the library spelling.
@@ -52,6 +52,13 @@ func TestValidateFleetFlags(t *testing.T) {
 		{name: "failover across local shards", cfg: remote.BackendConfig{Failover: true, Shards: 2}},
 		{name: "chunked failover fleet",
 			cfg: remote.BackendConfig{Failover: true, Chunk: 16, MaxRetries: 1, Peers: fakePeers(2)}},
+		{name: "chunk over local shards", cfg: remote.BackendConfig{Shards: 2, Chunk: 8}},
+		{name: "chunked fleet without the failover flag",
+			cfg: remote.BackendConfig{Chunk: 16, MaxRetries: 1, Peers: fakePeers(2)}},
+		{name: "chunk over a lone peer", cfg: remote.BackendConfig{Chunk: 8, Peers: fakePeers(1)},
+			wantErr: "-chunk"},
+		{name: "tuning over a cached lone peer",
+			cfg: remote.BackendConfig{MaxRetries: 1, Peers: fakePeers(1), Cache: true}},
 		{name: "negative tuning values still need failover",
 			cfg:     remote.BackendConfig{MaxRetries: -1, HealthInterval: -1},
 			wantErr: "-max-retries, -health-interval"},

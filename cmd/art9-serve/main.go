@@ -11,12 +11,13 @@
 //	                                            # front a fleet: fan jobs out to
 //	                                            # downstream art9-serve instances
 //	                                            # (-shards 0 for proxy-only)
-//	art9-serve -failover -peers ...             # health-aware fleet front:
-//	                                            # peers are probed, jobs go to
-//	                                            # the least-loaded live backend,
-//	                                            # and a dying peer's jobs are
-//	                                            # re-run on the survivors
-//	art9-serve -failover -chunk 32 -peers ...   # chunked dispatch: up to 32
+//	                                            # behind the health-aware
+//	                                            # Balancer: peers are probed,
+//	                                            # jobs go to the least-loaded
+//	                                            # live backend, and a dying
+//	                                            # peer's jobs are re-run on the
+//	                                            # survivors
+//	art9-serve -chunk 32 -peers ...             # chunked dispatch: up to 32
 //	                                            # jobs per peer ride one
 //	                                            # acknowledged suite stream,
 //	                                            # sized by scraped capacity
@@ -81,10 +82,10 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "HTTP read-header timeout")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	peers := flag.String("peers", "", "comma-separated base URLs of downstream art9-serve instances to fan jobs out to")
-	failover := flag.Bool("failover", false, "health-aware dispatch with job-level failover across the backends")
-	healthInterval := flag.Duration("health-interval", 0, "failover health-probe period (0: 2s; negative: probes off)")
-	maxRetries := flag.Int("max-retries", 0, "failover budget per job (0: 2; negative: no retries)")
-	chunk := flag.Int("chunk", 0, "failover chunk size: dispatch up to N jobs per backend as one acknowledged suite stream (0: per-job)")
+	failover := flag.Bool("failover", false, "put the health-aware Balancer front (job-level failover) before a lone backend too; more than one backend always gets it")
+	healthInterval := flag.Duration("health-interval", 0, "Balancer health-probe period (0: 2s; negative: probes off); needs a Balancer front")
+	maxRetries := flag.Int("max-retries", 0, "Balancer failover budget per job (0: 2; negative: no retries); needs a Balancer front")
+	chunk := flag.Int("chunk", 0, "Balancer chunk size: dispatch up to N jobs per backend as one acknowledged suite stream (0: per-job); needs a Balancer front")
 	autoscaleMin := flag.Int("autoscale-min", 0, "elastic pool floor: minimum local shards (0 with -autoscale-max: 1)")
 	autoscaleMax := flag.Int("autoscale-max", 0, "elastic pool ceiling: maximum local shards (0: autoscaling off)")
 	standbyPeers := flag.String("standby-peers", "", "comma-separated downstream art9-serve base URLs dialed only when the elastic pool's local ceiling is exhausted")

@@ -22,7 +22,7 @@ func fakePeers(n int) []string {
 
 // TestValidateFleetFlags pins the server's flag-validation contract,
 // which differs from art9-batch only in its -shards default (1): the
-// balancer tuning flags require -failover, autoscale tuning requires
+// balancer tuning flags need a Balancer front, autoscale tuning requires
 // -autoscale-min/-autoscale-max, a single-backend failover topology
 // warns, and multi-backend fleets pass clean. Hard errors wrap
 // engine.ErrInvalidOptions — the same typed error art9.New returns.

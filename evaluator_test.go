@@ -11,6 +11,7 @@ import (
 	"time"
 
 	art9 "repro"
+	"repro/internal/engine"
 	"repro/internal/serve"
 )
 
@@ -54,16 +55,39 @@ func TestNewWithShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ev.Close()
-	set, ok := ev.(*art9.ShardSet)
+	set, ok := ev.(*art9.Balancer)
 	if !ok {
-		t.Fatalf("New(WithShards(2)) built %T, want *ShardSet", ev)
+		t.Fatalf("New(WithShards(2)) built %T, want *Balancer", ev)
 	}
-	if set.Shards() != 2 {
-		t.Fatalf("shard count %d, want 2", set.Shards())
+	if set.Size() != 2 {
+		t.Fatalf("shard count %d, want 2", set.Size())
 	}
 	runSuiteOn(t, ev)
 	if st := ev.Stats(); st.Workers != 2 {
 		t.Errorf("stats %+v, want 2 workers across the set", st)
+	}
+}
+
+// TestNewWithShardsIndependentCaches asserts the shards do not share
+// engine cache fields — the property that makes them rehearsals for
+// remote peers.
+func TestNewWithShardsIndependentCaches(t *testing.T) {
+	ev, err := art9.New(art9.WithShards(2), art9.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ev.Close()
+	set := ev.(*art9.Balancer)
+	e0, ok0 := set.Backend(0).(*art9.Engine)
+	e1, ok1 := set.Backend(1).(*art9.Engine)
+	if !ok0 || !ok1 {
+		t.Fatal("New(WithShards(2)) backends are not local engines")
+	}
+	if e0.Programs == e1.Programs {
+		t.Error("shards share a ProgramCache")
+	}
+	if e0.Programs == engine.SharedPrograms {
+		t.Error("shard 0 uses the process-wide ProgramCache")
 	}
 }
 
@@ -101,19 +125,61 @@ func TestNewWithPeers(t *testing.T) {
 		t.Errorf("peer completed %d jobs, want at least %d (remote-only fan-out)", st.Completed, len(got))
 	}
 
-	// Mixed: one local shard + the peer behind one ShardSet.
+	// Mixed: one local shard + the peer behind one Balancer.
 	mixed, err := art9.New(art9.WithShards(1), art9.WithWorkers(1), art9.WithPeers(ts.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mixed.Close()
-	if set, ok := mixed.(*art9.ShardSet); !ok || set.Shards() != 2 {
-		t.Fatalf("mixed evaluator %T, want a 2-shard set", mixed)
+	if set, ok := mixed.(*art9.Balancer); !ok || set.Size() != 2 {
+		t.Fatalf("mixed evaluator %T, want a 2-backend Balancer", mixed)
 	}
 	runSuiteOn(t, mixed)
 
 	if _, err := art9.New(art9.WithPeers("ftp://nope")); err == nil {
 		t.Error("New accepted an invalid peer URL")
+	}
+}
+
+// TestResultCacheFrontsPeerTopologies pins that WithResultCache is
+// never silently dropped when peers are involved: a lone peer and a
+// mixed local+peer fleet both get a cache-carrying front, so a second
+// identical Run replays every job (Worker -1) instead of recomputing.
+func TestResultCacheFrontsPeerTopologies(t *testing.T) {
+	peer, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(peer.Handler())
+	defer func() {
+		ts.Close()
+		peer.Close()
+	}()
+
+	for _, tc := range []struct {
+		name string
+		opts []art9.Option
+	}{
+		{"lone peer", []art9.Option{art9.WithPeers(ts.URL), art9.WithResultCache()}},
+		{"local shard and peer", []art9.Option{art9.WithShards(1), art9.WithWorkers(1),
+			art9.WithPeers(ts.URL), art9.WithResultCache()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ev, err := art9.New(tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ev.Close()
+			if engine.ResultCacheOf(ev) == nil {
+				t.Fatalf("%T carries no result cache", ev)
+			}
+			runSuiteOn(t, ev)
+			for id, r := range runSuiteOn(t, ev) {
+				if r.Worker != -1 {
+					t.Errorf("warm job %s ran on worker %d, want a cache replay (-1)", id, r.Worker)
+				}
+			}
+		})
 	}
 }
 

@@ -297,11 +297,6 @@ func EngineReportOf(e *engine.Engine) EngineReport {
 	return engineReport(e.Stats(), 1)
 }
 
-// ShardSetReportOf renders a shard set's aggregate counters.
-func ShardSetReportOf(s *engine.ShardSet) EngineReport {
-	return engineReport(s.Stats(), s.Shards())
-}
-
 // EngineReportFrom renders an already-taken stats snapshot — for
 // callers (the serve stats endpoint) that must not trigger a second
 // scrape of remote backends.

@@ -108,7 +108,7 @@ type AutoscalerOptions struct {
 	Min, Max int
 	// Engine configures each spawned local shard. PrivateCaches is
 	// forced on when the pool can ever hold more than one member, so
-	// shards stay independent exactly like a ShardSet's.
+	// shards stay independent exactly like a fixed fleet's.
 	Engine Options
 	// Spawn overrides how a local shard is built (tests inject scripted
 	// backends); nil selects engine.New(Engine).

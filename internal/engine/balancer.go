@@ -9,13 +9,11 @@ import (
 	"time"
 )
 
-// Balancer is the health-aware front of the Evaluator stack: it wraps a
-// set of backends — local pools, remote peers, shard sets, in any mix —
+// Balancer is the one fleet front of the Evaluator stack: it wraps a set
+// of backends — local pools, remote peers, other fronts, in any mix —
 // and dispatches each job to the least-loaded healthy one, failing jobs
-// over to another backend when the one that held them dies. Where a
-// ShardSet partitions a batch blindly (round-robin, wire-efficient, no
-// second chances), a Balancer places every job individually and keeps a
-// suite complete through mid-stream backend deaths:
+// over to another backend when the one that held them dies, so a suite
+// stays complete through mid-stream backend deaths:
 //
 //   - Health: a periodic loop probes every backend that implements
 //     Prober (local engines answer from their closed flag, remote
@@ -39,9 +37,10 @@ import (
 // Failover re-runs jobs, so jobs must be idempotent — true of the whole
 // evaluation suite (pure simulation), and the same assumption the remote
 // client's dial retry already makes. Jobs reach remote backends through
-// their serializable Job.Spec exactly as with a ShardSet; spec-less
-// closure jobs fail on remote backends with a not-remotable error and
-// are not retried (placement cannot fix a job that cannot travel).
+// their serializable Job.Spec; spec-less closure jobs fail on remote
+// backends with a not-remotable error and are not retried (placement
+// cannot fix a job that cannot travel). MaxRetries -1 turns failover
+// off: a dead backend's jobs then fail with its typed error instead.
 //
 // Every placement moves a chunk of jobs; Chunk sets its cap, and the
 // default cap of 1 is per-job placement. The chunk's size picks the
@@ -50,8 +49,8 @@ import (
 // ChunkDispatcher travels as one acknowledged /v1/suite stream. Per-job
 // placement buys the finest load spread and failover granularity with
 // per-request overhead; chunks amortise the wire at the cost of
-// coarser placement. Wire-efficiency-critical sweeps that need no
-// failover at all belong on a ShardSet.
+// coarser placement, so wire-sensitive multi-peer sweeps should set a
+// chunk cap.
 //
 // Membership is fixed for a plain Balancer; an Autoscaler embeds one
 // and adds and retires members as its scale policy decides.
@@ -74,6 +73,9 @@ type Balancer struct {
 	chunks       atomic.Uint64
 	chunkResumes atomic.Uint64
 	cacheHits    atomic.Uint64
+	// streams counts Stream calls on the balancer itself: members only
+	// ever see Run (or a chunk), so their own stream counters stay 0.
+	streams atomic.Uint64
 	// queued counts jobs waiting in placement loops for a slot — the
 	// queue-depth signal an Autoscaler grows the pool from.
 	queued atomic.Int64
@@ -253,7 +255,7 @@ func Retryable(err error) bool {
 
 // NewBalancer builds a health-aware front over the given backends and
 // takes ownership of them (Close closes every one). An empty call
-// selects one default local engine, mirroring NewShardSetOf.
+// selects one default local engine.
 func NewBalancer(opts BalancerOptions, backends ...Evaluator) *Balancer {
 	if len(backends) == 0 {
 		backends = []Evaluator{New(Options{PrivateCaches: true})}
@@ -346,14 +348,10 @@ func backendName(ev Evaluator, i int) string {
 	if n, ok := ev.(interface{ Name() string }); ok {
 		return n.Name()
 	}
-	switch ev.(type) {
-	case *Engine:
+	if _, ok := ev.(*Engine); ok {
 		return fmt.Sprintf("local/%d", i)
-	case *ShardSet:
-		return fmt.Sprintf("shards/%d", i)
-	default:
-		return fmt.Sprintf("backend/%d", i)
 	}
+	return fmt.Sprintf("backend/%d", i)
 }
 
 // Size returns the number of backends behind the balancer, retired
@@ -424,16 +422,19 @@ func (b *Balancer) Health() []BackendHealth {
 	return out
 }
 
-// Stats sums the backends' own counters — the Evaluator view, matching
-// ShardSet.Stats. Remote backends answer with a peer scrape; for the
-// balancer's dispatch/failover view use Health.
+// Stats sums the backends' own counters plus the balancer's own Stream
+// calls — the Evaluator view. Remote backends answer with a peer
+// scrape; for the balancer's dispatch/failover view use Health.
 func (b *Balancer) Stats() Stats {
-	var t Stats
+	t := Stats{Streams: b.Streams()}
 	for _, st := range b.BackendStats() {
 		t = t.Add(st)
 	}
 	return t
 }
+
+// Streams returns how many Stream calls the balancer has served.
+func (b *Balancer) Streams() uint64 { return b.streams.Load() }
 
 // BackendStats returns one stats snapshot per backend, in backend
 // order, queried concurrently (a remote backend's Stats is a network
@@ -487,6 +488,7 @@ func (b *Balancer) RunAll(ctx context.Context, jobs []Job) ([]Result, error) {
 // resolves (after any failover), in completion order. The channel is
 // buffered to len(jobs) and always closes — the Evaluator contract.
 func (b *Balancer) Stream(ctx context.Context, jobs []Job) <-chan Result {
+	b.streams.Add(1)
 	out := make(chan Result, len(jobs))
 	if len(jobs) == 0 {
 		close(out)

@@ -633,3 +633,67 @@ func TestBalancerCapacitySizesChunks(t *testing.T) {
 		})
 	}
 }
+
+// TestRetrylessBalancerDeadBackendFailsTyped pins the no-failover
+// baseline (MaxRetries -1): with one of two backends dying mid-batch,
+// every job still resolves exactly once in submission order and every
+// failure carries the typed backend error — and the same jobs behind a
+// retrying Balancer all succeed.
+func TestRetrylessBalancerDeadBackendFailsTyped(t *testing.T) {
+	const n = 10
+	s := newBalancer(t, engine.BalancerOptions{MaxRetries: -1},
+		faulttest.New("dying-shard").FailAfter(2, nil),
+		engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+
+	jobs := scenariotest.Jobs(n)
+	rs, err := s.Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != n {
+		t.Fatalf("resolved %d results for %d jobs", len(rs), n)
+	}
+	scenariotest.CheckExactlyOnce(t, jobs, rs)
+	for i, r := range rs {
+		if r.ID != jobs[i].ID {
+			t.Errorf("result %d out of submission order: %s", i, r.ID)
+		}
+		if r.Err != nil && !engine.Retryable(r.Err) {
+			t.Errorf("job %s failed with non-backend error %v", r.ID, r.Err)
+		}
+	}
+	if s.Retries() != 0 {
+		t.Errorf("retry-less balancer re-dispatched %d jobs", s.Retries())
+	}
+
+	// The identical fault behind a retrying Balancer loses nothing.
+	b := newBalancer(t, engine.BalancerOptions{},
+		faulttest.New("dying-shard").FailAfter(2, nil),
+		engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+	brs, err := b.Run(context.Background(), scenariotest.Jobs(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range brs {
+		if r.Err != nil {
+			t.Errorf("balancer lost job %s to the dying backend: %v", r.ID, r.Err)
+		}
+	}
+}
+
+// TestRetrylessBalancerStreamWithDeadBackendStillCloses pins the merge
+// contract under faults: the merged stream yields one result per job
+// and closes even when a backend is dead on arrival.
+func TestRetrylessBalancerStreamWithDeadBackendStillCloses(t *testing.T) {
+	s := newBalancer(t, engine.BalancerOptions{MaxRetries: -1},
+		faulttest.New("doa").FailAfter(0, nil),
+		engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+
+	seen := 0
+	for range s.Stream(context.Background(), scenariotest.Jobs(8)) {
+		seen++
+	}
+	if seen != 8 {
+		t.Errorf("merged stream yielded %d results, want 8", seen)
+	}
+}

@@ -120,7 +120,7 @@ type Stats struct {
 }
 
 // Add accumulates another engine's counters into s, summing every job
-// counter and the pool sizes — how a ShardSet reports set-wide totals.
+// counter and the pool sizes — how a Balancer reports fleet-wide totals.
 func (s Stats) Add(o Stats) Stats {
 	s.Workers += o.Workers
 	s.Submitted += o.Submitted

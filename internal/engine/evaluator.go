@@ -8,11 +8,11 @@ import (
 
 // Evaluator is the one backend interface of the evaluation stack: a thing
 // that runs batches of Jobs and reports lifetime counters. Every way of
-// evaluating — a local worker pool (*Engine), a partition over other
-// evaluators (*ShardSet), an HTTP client proxying to a remote art9-serve
+// evaluating — a local worker pool (*Engine), a fleet front over other
+// evaluators (*Balancer), an HTTP client proxying to a remote art9-serve
 // instance (internal/remote.Client) — implements it, so consumers
 // (internal/serve, cmd/art9-batch, the art9.New facade) are written once
-// against this surface and composed freely: shards of shards, shards
+// against this surface and composed freely: fronts of fronts, fleets
 // mixing local pools with remote peers, a serve instance fronting a fleet
 // of other serve instances.
 //
@@ -41,15 +41,14 @@ type Evaluator interface {
 // asserts its own conformance next to its definition.
 var (
 	_ Evaluator = (*Engine)(nil)
-	_ Evaluator = (*ShardSet)(nil)
 	_ Evaluator = (*Balancer)(nil)
 )
 
 // Composite is implemented by backends that front an ordered set of
-// other backends — ShardSet and Balancer. Generic consumers (stats
-// drill-downs, per-shard reports, LocalStats) introspect through it
-// instead of enumerating concrete types, so a new composite backend
-// works with all of them unmodified.
+// other backends — the Balancer, and the Autoscaler over it. Generic
+// consumers (stats drill-downs, per-shard reports, LocalStats)
+// introspect through it instead of enumerating concrete types, so a new
+// composite backend works with all of them unmodified.
 type Composite interface {
 	Evaluator
 	// Size returns the number of fronted backends.
@@ -58,10 +57,7 @@ type Composite interface {
 	Backend(i int) Evaluator
 }
 
-var (
-	_ Composite = (*ShardSet)(nil)
-	_ Composite = (*Balancer)(nil)
-)
+var _ Composite = (*Balancer)(nil)
 
 // BackendStats returns one Stats snapshot per fronted backend of a
 // composite, in backend order — queried concurrently, since a remote
@@ -99,7 +95,6 @@ type Prober interface {
 // Every local backend carries its own liveness oracle.
 var (
 	_ Prober = (*Engine)(nil)
-	_ Prober = (*ShardSet)(nil)
 	_ Prober = (*Balancer)(nil)
 )
 
@@ -144,7 +139,6 @@ type CapacityReporter interface {
 // The local backends answer capacity from their own counters.
 var (
 	_ CapacityReporter = (*Engine)(nil)
-	_ CapacityReporter = (*ShardSet)(nil)
 	_ CapacityReporter = (*Balancer)(nil)
 )
 

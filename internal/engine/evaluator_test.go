@@ -4,15 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
 
 // fakeBackend is a minimal non-Engine Evaluator: it resolves every job
 // by calling its Fn inline and tags the result with its name, so tests
-// can tell which backend a ShardSet routed each job to.
+// can tell which backend a Balancer routed each job to.
 type fakeBackend struct {
 	name  string
+	mu    sync.Mutex
 	stats Stats
 }
 
@@ -21,8 +23,10 @@ func (f *fakeBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	for i, j := range jobs {
 		v, err := j.Fn(ctx)
 		out[i] = Result{ID: j.ID, Value: fmt.Sprintf("%s:%v", f.name, v), Err: err}
+		f.mu.Lock()
 		f.stats.Submitted++
 		f.stats.Completed++
+		f.mu.Unlock()
 	}
 	return out, ctx.Err()
 }
@@ -37,21 +41,25 @@ func (f *fakeBackend) Stream(ctx context.Context, jobs []Job) <-chan Result {
 	return out
 }
 
-func (f *fakeBackend) Stats() Stats { return f.stats }
+func (f *fakeBackend) Stats() Stats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.stats
+}
 func (f *fakeBackend) Close() error { return nil }
 
-// TestShardSetOfMixedBackends composes a local Engine with a non-Engine
+// TestBalancerOfMixedBackends composes a local Engine with a non-Engine
 // backend and checks submission-order reassembly, stream merging, and
 // aggregate stats across the heterogeneous set — the property that lets
-// a shard be a remote peer.
-func TestShardSetOfMixedBackends(t *testing.T) {
+// a backend be a remote peer.
+func TestBalancerOfMixedBackends(t *testing.T) {
 	local := New(Options{Workers: 2, PrivateCaches: true})
 	fake := &fakeBackend{name: "peer"}
-	s := NewShardSetOf(local, fake)
+	s := NewBalancer(BalancerOptions{HealthInterval: -1}, local, fake)
 	defer s.Close()
 
-	if s.Shards() != 2 {
-		t.Fatalf("Shards() = %d, want 2", s.Shards())
+	if s.Size() != 2 {
+		t.Fatalf("Size() = %d, want 2", s.Size())
 	}
 	if s.Backend(1) != Evaluator(fake) {
 		t.Error("Backend(1) is not the fake peer")
@@ -85,8 +93,8 @@ func TestShardSetOfMixedBackends(t *testing.T) {
 			viaFake++
 		}
 	}
-	if viaFake != 5 {
-		t.Errorf("fake backend ran %d of 10 jobs, want 5 (round-robin)", viaFake)
+	if viaFake < 1 {
+		t.Errorf("fake backend ran %d of 10 jobs, want at least 1", viaFake)
 	}
 
 	seen := 0
@@ -100,16 +108,16 @@ func TestShardSetOfMixedBackends(t *testing.T) {
 		t.Errorf("stream yielded %d results, want %d", seen, len(jobs))
 	}
 
-	if tot := s.Stats(); tot.Submitted != local.Stats().Submitted+fake.stats.Submitted {
+	if tot := s.Stats(); tot.Submitted != local.Stats().Submitted+fake.Stats().Submitted {
 		t.Errorf("aggregate Stats %+v do not sum the backends", tot)
 	}
 }
 
-// TestShardSetComposesRecursively nests a ShardSet inside a ShardSet and
+// TestBalancerComposesRecursively nests a Balancer inside a Balancer and
 // checks jobs still resolve with submission-order results.
-func TestShardSetComposesRecursively(t *testing.T) {
-	inner := NewShardSet(2, Options{Workers: 1})
-	outer := NewShardSetOf(inner, New(Options{Workers: 1, PrivateCaches: true}))
+func TestBalancerComposesRecursively(t *testing.T) {
+	inner := localFleet(2, Options{Workers: 1})
+	outer := NewBalancer(BalancerOptions{HealthInterval: -1}, inner, New(Options{Workers: 1, PrivateCaches: true}))
 	defer outer.Close()
 
 	jobs := make([]Job, 8)

@@ -5,8 +5,8 @@
 // stall from the Nth job until released or cancelled, delay every job
 // (a slow peer), or be killed and revived from the test at any point.
 // It implements engine.Evaluator and engine.Prober, so the same faults
-// drive Balancer failover tests, ShardSet merge tests, and serve-layer
-// suite tests without any of them spawning real processes.
+// drive Balancer failover tests, retry-less merge tests, and
+// serve-layer suite tests without any of them spawning real processes.
 package faulttest
 
 import (

@@ -4,8 +4,8 @@
 // pins a topology × fault scenario's merged output — byte-identical to
 // the healthy reference for failover topologies, exactly-once with
 // typed backend errors for the rest. Every Evaluator topology (Engine,
-// ShardSet, Balancer — per-job or chunked — remote clients, and mixes)
-// runs through the same harness, so the balancer, shard and serve fault
+// Balancer — per-job, chunked or retry-less — remote clients, and
+// mixes) runs through the same harness, so the balancer and serve fault
 // suites stop re-implementing their own setup and a new topology gets
 // the whole fault matrix by writing one builder.
 //
@@ -183,7 +183,7 @@ const (
 	// Degraded: every job still resolves exactly once, but jobs held by
 	// a dead backend may fail — and every such failure must carry a
 	// backend-level (engine.Retryable) error, never a silent wrong
-	// value. The no-failover (ShardSet) baseline.
+	// value. The retry-less (MaxRetries -1) Balancer baseline.
 	Degraded
 )
 

@@ -5,8 +5,8 @@ package scenariotest_test
 // faulttest.Flaky backend, runs the same job set through Run and
 // Stream, and pins the contract the topology makes — failover fronts
 // (Balancer, per-job or chunked, local or across the HTTP stack) must
-// merge byte-identical to a healthy single-engine run; the no-failover
-// ShardSet must stay exactly-once with typed backend errors on the dead
+// merge byte-identical to a healthy single-engine run; the retry-less
+// Balancer must stay exactly-once with typed backend errors on the dead
 // share. Run under -race in CI, twice (-count=2).
 
 import (
@@ -79,9 +79,12 @@ func TestScenarioMatrix(t *testing.T) {
 			build: func(t *testing.T, _ *faulttest.Flaky) engine.Evaluator {
 				return localEngine()
 			}},
+		// The no-failover baseline: a Balancer with retries off lets a
+		// dead backend's jobs fail with its typed error.
 		{name: "shardset",
 			build: func(t *testing.T, flaky *faulttest.Flaky) engine.Evaluator {
-				return engine.NewShardSetOf(flaky, localEngine())
+				return engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1, MaxRetries: -1},
+					flaky, localEngine())
 			}},
 		{name: "balancer", failover: true,
 			build: func(t *testing.T, flaky *faulttest.Flaky) engine.Evaluator {

@@ -164,11 +164,22 @@ func TestStreamCloseRaceStress(t *testing.T) {
 	}
 }
 
-func TestShardSetRunAllAndStream(t *testing.T) {
-	s := NewShardSet(3, Options{Workers: 2})
+// localFleet fronts n private-cache local engines with a Balancer —
+// the topology art9.New(WithShards(n)) builds — with the probe loop off.
+func localFleet(n int, opts Options) *Balancer {
+	opts.PrivateCaches = true
+	backends := make([]Evaluator, n)
+	for i := range backends {
+		backends[i] = New(opts)
+	}
+	return NewBalancer(BalancerOptions{HealthInterval: -1}, backends...)
+}
+
+func TestLocalFleetRunAllAndStream(t *testing.T) {
+	s := localFleet(3, Options{Workers: 2})
 	defer s.Close()
-	if s.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", s.Shards())
+	if s.Size() != 3 {
+		t.Fatalf("Size() = %d, want 3", s.Size())
 	}
 
 	jobs := make([]Job, 30)
@@ -203,26 +214,30 @@ func TestShardSetRunAllAndStream(t *testing.T) {
 		t.Errorf("stream delivered %d distinct jobs, want %d", len(seen), len(jobs))
 	}
 
-	// Round-robin must spread a 30-job batch run twice (RunAll + Stream)
-	// as 10+10 per shard, and the totals must equal the sum.
+	// Least-loaded placement must put work on every shard across the
+	// 60 submissions (RunAll + Stream), and the totals must equal the
+	// sum plus the balancer's own Stream call.
 	var sum uint64
-	for i, st := range s.ShardStats() {
-		if st.Submitted != 20 {
-			t.Errorf("shard %d submitted %d, want 20", i, st.Submitted)
+	for i, st := range s.BackendStats() {
+		if st.Submitted < 1 {
+			t.Errorf("shard %d submitted %d, want at least 1", i, st.Submitted)
 		}
 		sum += st.Submitted
 	}
-	if tot := s.Stats(); tot.Submitted != sum || tot.Workers != 6 {
-		t.Errorf("Stats %+v, want submitted %d over 6 workers", tot, sum)
+	if sum != 60 {
+		t.Errorf("shards submitted %d jobs in total, want 60", sum)
+	}
+	if tot := s.Stats(); tot.Submitted != sum || tot.Workers != 6 || tot.Streams != 1 {
+		t.Errorf("Stats %+v, want submitted %d over 6 workers and 1 stream", tot, sum)
 	}
 }
 
-// TestShardSetCursorBalancesSmallBatches drives many one-job batches —
-// the resident server's /v1/eval pattern — and asserts the persistent
-// round-robin cursor spreads them evenly instead of piling every batch
-// onto shard 0.
-func TestShardSetCursorBalancesSmallBatches(t *testing.T) {
-	s := NewShardSet(3, Options{Workers: 1})
+// TestLocalFleetSpreadsSmallBatches drives many one-job batches — the
+// resident server's /v1/eval pattern — and asserts the Balancer's
+// rotation among equally free shards spreads them evenly instead of
+// piling every batch onto shard 0.
+func TestLocalFleetSpreadsSmallBatches(t *testing.T) {
+	s := localFleet(3, Options{Workers: 1})
 	defer s.Close()
 
 	for i := 0; i < 30; i++ {
@@ -233,28 +248,9 @@ func TestShardSetCursorBalancesSmallBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, st := range s.ShardStats() {
+	for i, st := range s.BackendStats() {
 		if st.Submitted != 10 {
 			t.Errorf("shard %d got %d of 30 one-job batches, want 10", i, st.Submitted)
 		}
-	}
-}
-
-// TestShardSetIndependentCaches asserts the shards do not share engine
-// cache fields — the property that makes them rehearsals for remote
-// peers.
-func TestShardSetIndependentCaches(t *testing.T) {
-	s := NewShardSet(2, Options{Workers: 1})
-	defer s.Close()
-	e0, ok0 := s.Backend(0).(*Engine)
-	e1, ok1 := s.Backend(1).(*Engine)
-	if !ok0 || !ok1 {
-		t.Fatal("NewShardSet backends are not local engines")
-	}
-	if e0.Programs == e1.Programs {
-		t.Error("shards share a ProgramCache")
-	}
-	if e0.Programs == SharedPrograms {
-		t.Error("shard 0 uses the process-wide ProgramCache")
 	}
 }

@@ -48,11 +48,11 @@ func suiteRows(t *testing.T, ev engine.Evaluator, m *bench.Manifest, techs []*ga
 	return rows
 }
 
-// TestMixedLocalRemoteShardSetMatchesLocal is the acceptance pin of the
-// Evaluator redesign: a ShardSet mixing one local Engine with one
+// TestMixedLocalRemoteFleetMatchesLocal is the acceptance pin of the
+// Evaluator redesign: a Balancer mixing one local Engine with one
 // internal/remote client (backed by an in-process httptest art9-serve)
 // must yield byte-identical sorted suite results to a purely local run.
-func TestMixedLocalRemoteShardSetMatchesLocal(t *testing.T) {
+func TestMixedLocalRemoteFleetMatchesLocal(t *testing.T) {
 	m := &bench.Manifest{
 		Technologies: []string{"cntfet32", "stratixv"},
 		Jobs: []bench.ManifestJob{
@@ -84,7 +84,8 @@ func TestMixedLocalRemoteShardSetMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mixed := engine.NewShardSetOf(engine.New(engine.Options{Workers: 2, PrivateCaches: true}), client)
+	mixed := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
+		engine.New(engine.Options{Workers: 2, PrivateCaches: true}), client)
 	defer mixed.Close()
 	local := engine.New(engine.Options{Workers: 2, PrivateCaches: true})
 	defer local.Close()
@@ -101,18 +102,18 @@ func TestMixedLocalRemoteShardSetMatchesLocal(t *testing.T) {
 		}
 	}
 
-	// The remote shard must actually have carried half the batch — the
-	// equality above would also hold for a set that quietly ran
-	// everything locally.
-	if st := client.LocalStats(); st.Completed != uint64(len(m.Jobs))/2 {
-		t.Errorf("remote client stats %+v, want %d jobs completed via the peer", st, len(m.Jobs)/2)
+	// The remote backend must actually have carried work — the equality
+	// above would also hold for a front that quietly ran everything
+	// locally.
+	if st := client.LocalStats(); st.Completed < 1 {
+		t.Errorf("remote client stats %+v, want at least 1 job completed via the peer", st)
 	}
 }
 
-// TestMixedShardSetStream checks the streaming path through the same
-// mixed topology: every job resolves exactly once, remote rows pass
-// through as *bench.JobReport values, local rows as *bench.Outcome.
-func TestMixedShardSetStream(t *testing.T) {
+// TestMixedFleetStream checks the streaming path through the same mixed
+// topology: every job resolves exactly once, remote rows pass through
+// as *bench.JobReport values, local rows as *bench.Outcome.
+func TestMixedFleetStream(t *testing.T) {
 	peerSrv, err := serve.New(serve.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +127,10 @@ func TestMixedShardSetStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed := engine.NewShardSetOf(engine.New(engine.Options{Workers: 1, PrivateCaches: true}), client)
+	// Width 1 matches the peer's dispatch cap to the local pool, so the
+	// two backends alternate and both carry work.
+	mixed := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1, Width: 1},
+		engine.New(engine.Options{Workers: 1, PrivateCaches: true}), client)
 	defer mixed.Close()
 
 	m := &bench.Manifest{Jobs: []bench.ManifestJob{
@@ -159,8 +163,9 @@ func TestMixedShardSetStream(t *testing.T) {
 			t.Fatalf("job %s: value %T, want *Outcome or *JobReport", r.ID, r.Value)
 		}
 	}
-	if outcomes != 2 || reports != 2 {
-		t.Errorf("stream saw %d local outcomes and %d remote reports, want 2 and 2", outcomes, reports)
+	if outcomes < 1 || reports < 1 || outcomes+reports != len(jobs) {
+		t.Errorf("stream saw %d local outcomes and %d remote reports, want at least 1 each and %d in total",
+			outcomes, reports, len(jobs))
 	}
 }
 

@@ -6,10 +6,10 @@
 // art9-serve is already a valid shard.
 //
 // Because a Client is just an Evaluator, it composes with everything
-// else behind that interface: engine.NewShardSetOf(localEngine, client)
-// splits one batch between this process and a peer, art9-serve --peers
-// fronts a fleet of other art9-serve instances, and shards of shards
-// build arbitrary topologies.
+// else behind that interface: engine.NewBalancer(opts, localEngine,
+// client) splits one batch between this process and a peer, art9-serve
+// --peers fronts a fleet of other art9-serve instances, and fronts of
+// fronts build arbitrary topologies.
 //
 // Jobs are shipped by their engine.Job.Spec (a *bench.JobSpec, attached
 // by bench.SuiteJobs / Manifest.EngineJobs): the program travels inline
@@ -992,8 +992,8 @@ func ValidateFleetFlags(cfg BackendConfig) (warning string, err error) {
 }
 
 // validateTopology is the one rule set: options that only tune an
-// absent front (failover tuning without Failover, scale tuning or
-// standby peers without Autoscale) error out, since silently ignoring
+// absent front (failover tuning without a Balancer front, scale tuning
+// or standby peers without Autoscale) error out, since silently ignoring
 // them would leave the user believing they are in effect; incoherent
 // autoscale bounds and thresholds error out; topologies that merely
 // waste a front (failover or autoscale with nothing to move jobs
@@ -1025,7 +1025,7 @@ func validateTopology(cfg BackendConfig, n optionNames) (warning string, err err
 		}
 	}
 	autoscale := cfg.AutoscaleMin != 0 || cfg.AutoscaleMax != 0
-	if !cfg.Failover {
+	if !balancerFront(cfg) {
 		var orphaned []string
 		if cfg.Chunk > 0 {
 			orphaned = append(orphaned, n.chunk)
@@ -1037,8 +1037,8 @@ func validateTopology(cfg BackendConfig, n optionNames) (warning string, err err
 			orphaned = append(orphaned, n.healthInterval)
 		}
 		if len(orphaned) > 0 {
-			return "", invalid("%s: only meaningful with %s (otherwise silently ignored); add %s or drop it",
-				strings.Join(orphaned, ", "), n.failover, n.failover)
+			return "", invalid("%s: only meaningful with a Balancer front (otherwise silently ignored); add %s or a second backend, or drop it",
+				strings.Join(orphaned, ", "), n.failover)
 		}
 	}
 	if !autoscale {
@@ -1099,17 +1099,41 @@ func validateTopology(cfg BackendConfig, n optionNames) (warning string, err err
 		}
 		return "", nil
 	}
-	if cfg.Failover {
-		backends := cfg.Shards + len(cfg.Peers)
-		if cfg.Shards <= 0 && len(cfg.Peers) == 0 {
-			backends = 1 // the implicit single local shard
-		}
-		if backends <= 1 {
-			return fmt.Sprintf("%s over a single backend has nothing to fail over to; add %s or %s",
-				n.failover, n.peers, n.shards), nil
-		}
+	if cfg.Failover && localShards(cfg)+len(cfg.Peers) <= 1 {
+		return fmt.Sprintf("%s over a single backend has nothing to fail over to; add %s or %s",
+			n.failover, n.peers, n.shards), nil
 	}
 	return "", nil
+}
+
+// localShards resolves a fixed topology's local engine count: Shards
+// when positive, otherwise none beside peers and the implicit single
+// local engine without them.
+func localShards(cfg BackendConfig) int {
+	switch {
+	case cfg.Shards > 0:
+		return cfg.Shards
+	case len(cfg.Peers) > 0:
+		return 0
+	}
+	return 1
+}
+
+// balancerFront is the one rule for whether an engine.Balancer fronts
+// a fixed topology: with Failover, over more than one backend, and over
+// a lone peer when the result cache is on (only a local engine can hold
+// the cache itself). Any other lone backend is returned bare. The
+// autoscaler is its own front, so an autoscaled topology never gets
+// one — unless Failover asks for it, which validation then rejects.
+func balancerFront(cfg BackendConfig) bool {
+	if cfg.Failover {
+		return true
+	}
+	if cfg.AutoscaleMin != 0 || cfg.AutoscaleMax != 0 {
+		return false
+	}
+	shards := localShards(cfg)
+	return shards+len(cfg.Peers) > 1 || (shards == 0 && (cfg.Cache || cfg.CacheStore != nil))
 }
 
 // BackendConfig describes the backend topology NewBackendWith builds —
@@ -1123,19 +1147,20 @@ type BackendConfig struct {
 	Engine engine.Options
 	// Peers lists art9-serve base URLs, one remote Client each.
 	Peers []string
-	// Failover fronts the backends with a health-aware engine.Balancer
-	// (least-loaded dispatch, probe loop, job-level failover) instead of
-	// the round-robin ShardSet.
+	// Failover puts the health-aware engine.Balancer (least-loaded
+	// dispatch, probe loop, job-level failover) in front of a lone
+	// backend too. More than one backend, or a lone peer with the
+	// result cache on, always gets the Balancer front.
 	Failover bool
 	// HealthInterval and MaxRetries tune the Balancer (engine defaults
-	// apply at zero); ignored without Failover.
+	// apply at zero); they need a Balancer front.
 	HealthInterval time.Duration
 	MaxRetries     int
 	// Chunk makes the Balancer dispatch in chunks of up to this many
 	// jobs — remote backends receive a chunk as one acknowledged
 	// /v1/suite stream instead of per-job /v1/eval requests, sized down
-	// by scraped live capacity. 0 keeps per-job placement; ignored
-	// without Failover.
+	// by scraped live capacity. 0 keeps per-job placement; needs a
+	// Balancer front.
 	Chunk int
 	// AutoscaleMin and AutoscaleMax, when either is non-zero, select
 	// the elastic engine.Autoscaler front instead of a fixed topology:
@@ -1179,7 +1204,7 @@ type BackendConfig struct {
 
 // NewBackend assembles the standard backend topology shared by art9.New
 // and serve.New: localShards engines configured by opts plus one Client
-// per peer URL, composed behind a ShardSet when there is more than one
+// per peer URL, composed behind a Balancer when there is more than one
 // backend. Cache fields go private exactly when backends multiply, so a
 // solitary local pool keeps the process-wide shared caches. With zero
 // shards and zero peers it falls back to one local engine.
@@ -1197,7 +1222,7 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 	}
 	// The result cache attaches to the dispatch FRONT only — the
 	// autoscaler or balancer when one fronts the topology, otherwise
-	// each local engine — so one lookup answers one job and hit/miss
+	// the lone local engine — so one lookup answers one job and hit/miss
 	// counters are not doubled by inner layers re-consulting the store.
 	var resultCache engine.ResultCache
 	if cfg.Cache || cfg.CacheStore != nil {
@@ -1246,22 +1271,15 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 			Cache:         resultCache,
 		}), nil
 	}
-	localShards := cfg.Shards
-	if localShards < 0 {
-		localShards = 0
-	}
-	if localShards == 0 && len(cfg.Peers) == 0 {
-		localShards = 1
-	}
+	shards, front := localShards(cfg), balancerFront(cfg)
 	opts := cfg.Engine
-	opts.PrivateCaches = localShards+len(cfg.Peers) > 1
-	if resultCache != nil && !cfg.Failover {
-		// No front to attach the cache to: each local engine consults
-		// it before running a job (remote shards stay pass-through).
+	opts.PrivateCaches = shards+len(cfg.Peers) > 1
+	if !front {
+		// A lone local engine is its own front and holds the cache.
 		opts.Cache = resultCache
 	}
 	var backends []engine.Evaluator
-	for i := 0; i < localShards; i++ {
+	for i := 0; i < shards; i++ {
 		backends = append(backends, engine.New(opts))
 	}
 	for _, p := range cfg.Peers {
@@ -1276,16 +1294,13 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 		}
 		backends = append(backends, client)
 	}
-	if cfg.Failover {
-		return engine.NewBalancer(engine.BalancerOptions{
-			MaxRetries:     cfg.MaxRetries,
-			HealthInterval: cfg.HealthInterval,
-			Chunk:          cfg.Chunk,
-			Cache:          resultCache,
-		}, backends...), nil
-	}
-	if len(backends) == 1 {
+	if !front {
 		return backends[0], nil
 	}
-	return engine.NewShardSetOf(backends...), nil
+	return engine.NewBalancer(engine.BalancerOptions{
+		MaxRetries:     cfg.MaxRetries,
+		HealthInterval: cfg.HealthInterval,
+		Chunk:          cfg.Chunk,
+		Cache:          resultCache,
+	}, backends...), nil
 }

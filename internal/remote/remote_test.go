@@ -598,7 +598,8 @@ func TestRunReportForUsesLocalCounters(t *testing.T) {
 	defer ts.Close()
 
 	c := mustClient(t, ts.URL)
-	set := engine.NewShardSetOf(engine.New(engine.Options{Workers: 1, PrivateCaches: true}), c)
+	set := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
+		engine.New(engine.Options{Workers: 1, PrivateCaches: true}), c)
 	defer set.Close()
 	jobs := []engine.Job{
 		{ID: "local", Fn: func(context.Context) (any, error) { return 1, nil },

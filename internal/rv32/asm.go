@@ -35,6 +35,11 @@ func (p *Program) TextBytes() int { return 4 * len(p.Insts) }
 // metric for the RV32I column.
 func (p *Program) TextBits() int { return 32 * len(p.Insts) }
 
+// maxDataBytes bounds the assembled data image, so a hostile .space or
+// .org cannot make the assembler allocate gigabytes. It is far above
+// any data memory a program here runs with.
+const maxDataBytes = 1 << 20
+
 type rvAsm struct {
 	equ    map[string]int32
 	labels map[string]int32 // text labels: instruction index; data: byte addr
@@ -132,6 +137,9 @@ func Assemble(src string) (*Program, error) {
 			continue
 		}
 		sz, err := a.dataSize(st, dataAddr)
+		if err == nil && int64(dataAddr)+int64(sz) > maxDataBytes {
+			err = fmt.Errorf("line %d: data image exceeds %d bytes", st.line, maxDataBytes)
+		}
 		if err != nil {
 			a.errs = append(a.errs, err.Error())
 			continue
@@ -146,15 +154,9 @@ func Assemble(src string) (*Program, error) {
 		for si := range stmts {
 			dataAddrs[si] = cur
 			if stmts[si].sec == "data" {
-				if stmts[si].mnemonic == ".org" {
-					// .org sets the absolute byte address.
-					v, err := a.evalInt(stmts[si].args[0], stmts[si].line)
-					if err == nil && v >= cur {
-						cur = v
-					}
-				} else {
-					cur += dataSize[si]
-				}
+				// dataSize already turned .org into the gap up to its
+				// absolute address (and a bad .org into an error).
+				cur += dataSize[si]
 			}
 		}
 		dataAddrs[len(stmts)] = cur

@@ -239,6 +239,9 @@ func (a *rvAsm) emitText(p *Program, st *rvStmt, idx int32) error {
 		emit(Inst{Op: ADDI, Rd: rd, Rs1: rs})
 		return nil
 	case "not":
+		if err := argN(2); err != nil {
+			return err
+		}
 		rd, err := reg(args[0])
 		if err != nil {
 			return err
@@ -250,6 +253,9 @@ func (a *rvAsm) emitText(p *Program, st *rvStmt, idx int32) error {
 		emit(Inst{Op: XORI, Rd: rd, Rs1: rs, Imm: -1})
 		return nil
 	case "neg":
+		if err := argN(2); err != nil {
+			return err
+		}
 		rd, err := reg(args[0])
 		if err != nil {
 			return err
@@ -261,7 +267,13 @@ func (a *rvAsm) emitText(p *Program, st *rvStmt, idx int32) error {
 		emit(Inst{Op: SUB, Rd: rd, Rs2: rs})
 		return nil
 	case "seqz":
-		rd, _ := reg(args[0])
+		if err := argN(2); err != nil {
+			return err
+		}
+		rd, err := reg(args[0])
+		if err != nil {
+			return err
+		}
 		rs, err := reg(args[1])
 		if err != nil {
 			return err
@@ -269,7 +281,13 @@ func (a *rvAsm) emitText(p *Program, st *rvStmt, idx int32) error {
 		emit(Inst{Op: SLTIU, Rd: rd, Rs1: rs, Imm: 1})
 		return nil
 	case "snez":
-		rd, _ := reg(args[0])
+		if err := argN(2); err != nil {
+			return err
+		}
+		rd, err := reg(args[0])
+		if err != nil {
+			return err
+		}
 		rs, err := reg(args[1])
 		if err != nil {
 			return err
@@ -287,6 +305,9 @@ func (a *rvAsm) emitText(p *Program, st *rvStmt, idx int32) error {
 		emit(Inst{Op: JAL, Rd: 0, Imm: off})
 		return nil
 	case "jr":
+		if err := argN(1); err != nil {
+			return err
+		}
 		rs, err := reg(args[0])
 		if err != nil {
 			return err

@@ -80,20 +80,21 @@ type Config struct {
 	// jobs out to alongside the local shards (serve→serve proxying).
 	// Do not point a fleet at itself — a cycle proxies forever.
 	Peers []string
-	// Failover fronts the backends with a health-aware engine.Balancer:
-	// least-loaded dispatch, a periodic health-probe loop, and job-level
-	// failover re-running jobs a dying backend dropped. Without it the
-	// backends sit behind the round-robin ShardSet.
+	// Failover puts the health-aware engine.Balancer — least-loaded
+	// dispatch, a periodic health-probe loop, and job-level failover
+	// re-running jobs a dying backend dropped — in front of a lone
+	// backend too. More than one backend, or a lone peer with Cache on,
+	// always gets the Balancer front.
 	Failover bool
 	// HealthInterval is the Balancer's probe period and MaxRetries its
-	// per-job failover budget (engine defaults at zero); both ignored
-	// without Failover.
+	// per-job failover budget (engine defaults at zero); both need a
+	// Balancer front.
 	HealthInterval time.Duration
 	MaxRetries     int
 	// Chunk makes the Balancer dispatch in chunks of up to this many
 	// jobs (acknowledged /v1/suite streams to downstream peers) instead
-	// of per-job placement, sized down by live capacity. Ignored
-	// without Failover.
+	// of per-job placement, sized down by live capacity. Needs a
+	// Balancer front.
 	Chunk int
 	// AutoscaleMin/AutoscaleMax select the elastic engine.Autoscaler
 	// front instead of a fixed topology: local shards float between the
@@ -153,7 +154,7 @@ type Server struct {
 }
 
 // New starts the evaluation back end: local engine shards, remote
-// clients for cfg.Peers, or a shard set mixing both. The backend (and
+// clients for cfg.Peers, or a Balancer over a mix of both. The backend (and
 // the process-wide program/analysis caches the bench jobs share) lives
 // for the server's lifetime, so every request after the first reuses
 // prior work. Fails only on an invalid peer URL.
@@ -377,11 +378,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		reply.Cache.Results = bench.ResultCacheReportFrom(s.cache.Stats())
 		reply.Cache.Results.EpochRejects += s.cacheEpochRejects.Load()
 	}
+	// A front's own Stream calls reach no member, so they add on top.
 	switch front := s.backend.(type) {
 	case *engine.Balancer:
 		reply.Balancer = front.Health()
+		reply.Engine.Streams += front.Streams()
 	case *engine.Autoscaler:
 		reply.Balancer = front.Health()
+		reply.Engine.Streams += front.Streams()
 		state := front.ScaleState()
 		reply.Autoscale = &state
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -781,6 +782,47 @@ func TestNewFailoverConfig(t *testing.T) {
 	}
 	if s.shardCount() != 2 {
 		t.Errorf("shardCount = %d, want 2", s.shardCount())
+	}
+}
+
+// TestBalancerFrontCountsSuiteStreams pins the stream counter of a
+// Balancer-fronted server: its members only ever see Run, so the
+// front's own Stream calls must reach both Backend().Stats() and the
+// /v1/stats engine section. -shards 2 alone gets the same front, with
+// one scorecard per shard.
+func TestBalancerFrontCountsSuiteStreams(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"failover":   {Shards: 2, Workers: 1, Failover: true, HealthInterval: -1},
+		"two shards": {Shards: 2, Workers: 1},
+	} {
+		s, ts := newTestServer(t, cfg)
+		resp, err := http.Post(ts.URL+"/v1/suite", "application/json",
+			strings.NewReader(`{"jobs":[{"name":"bubble","workload":"bubble"}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+
+		if st := s.Backend().Stats(); st.Streams != 1 {
+			t.Errorf("%s: backend stats %+v, want 1 stream", name, st)
+		}
+		sResp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr StatsReply
+		err = json.NewDecoder(sResp.Body).Decode(&sr)
+		sResp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Engine.Streams != 1 || sr.Engine.Completed < 1 {
+			t.Errorf("%s: stats engine %+v, want 1 stream and the completed job", name, sr.Engine)
+		}
+		if len(sr.Balancer) != 2 {
+			t.Errorf("%s: %d scorecards, want one per shard", name, len(sr.Balancer))
+		}
 	}
 }
 

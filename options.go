@@ -60,8 +60,9 @@ func WithPeers(urls ...string) Option {
 	return func(c *evalConfig) { c.peers = append(c.peers, urls...) }
 }
 
-// WithFailover fronts the backends with a health-aware Balancer instead
-// of the round-robin ShardSet: each job goes to the least-loaded healthy
+// WithFailover puts the health-aware Balancer in front of a lone backend
+// too. More than one backend (WithShards(n), WithPeers, or both) always
+// gets the Balancer front: each job goes to the least-loaded healthy
 // backend (liveness from local state and remote /v1/healthz probes), and
 // jobs dropped by a dying backend — engine-closed results, severed
 // streams, unreachable peers — are re-run on another backend within a
@@ -69,25 +70,27 @@ func WithPeers(urls ...string) Option {
 // survives. Tune with WithHealthInterval and WithMaxRetries.
 func WithFailover() Option { return func(c *evalConfig) { c.failover = true } }
 
-// WithHealthInterval sets the failover Balancer's health-probe period
-// (0 selects 2s; negative disables the background loop). Only
-// meaningful with WithFailover.
+// WithHealthInterval sets the Balancer's health-probe period (0 selects
+// 2s; negative disables the background loop). Needs a Balancer front:
+// WithFailover or more than one backend.
 func WithHealthInterval(d time.Duration) Option {
 	return func(c *evalConfig) { c.healthInterval = d }
 }
 
 // WithMaxRetries bounds how many times one job is re-dispatched after a
 // backend-level failure (0 selects 2; negative disables failover
-// retries). Only meaningful with WithFailover.
+// retries). Needs a Balancer front: WithFailover or more than one
+// backend.
 func WithMaxRetries(n int) Option { return func(c *evalConfig) { c.maxRetries = n } }
 
-// WithChunk makes the failover Balancer dispatch in chunks of up to n
-// jobs instead of placing each job individually: a chunk reaches a
-// remote backend as one acknowledged /v1/suite NDJSON stream (per-row
+// WithChunk makes the Balancer dispatch in chunks of up to n jobs
+// instead of placing each job individually: a chunk reaches a remote
+// backend as one acknowledged /v1/suite NDJSON stream (per-row
 // acknowledgement, so a severed chunk re-dispatches only its unresolved
 // jobs on the survivors), and chunk sizes follow the backend's free
-// slots and scraped live capacity. 0 keeps per-job placement. Only
-// meaningful with WithFailover.
+// slots and scraped live capacity. 0 keeps per-job placement, one
+// /v1/eval per job; wire-sensitive multi-peer sweeps should set a chunk.
+// Needs a Balancer front: WithFailover or more than one backend.
 func WithChunk(n int) Option { return func(c *evalConfig) { c.chunk = n } }
 
 // WithAutoscale selects the elastic Autoscaler front: the local shard
@@ -181,33 +184,36 @@ func WithCacheEpoch(epoch uint64) Option {
 //	art9.New(art9.WithPeers("http://h1:9009"))     // remote-only
 //	art9.New(art9.WithShards(2),                   // mixed: 2 local shards
 //	         art9.WithPeers("http://h1:9009"))     //  + 1 remote peer
-//	art9.New(art9.WithFailover(),                  // health-aware fleet with
-//	         art9.WithPeers("http://h1:9009",      //  least-loaded dispatch
-//	                        "http://h2:9009"))     //  and job failover
+//	art9.New(art9.WithPeers("http://h1:9009",      // chunked fleet: up to 8
+//	                        "http://h2:9009"),     //  jobs per /v1/suite
+//	         art9.WithChunk(8))                    //  stream
 //	art9.New(art9.WithAutoscale(1, 4),             // elastic pool: 1–4 local
 //	         art9.WithStandbyPeers(                //  shards, standby peers
 //	                "http://h1:9009"))             //  recruited under burst
 //
-// Multiple backends compose behind a ShardSet that partitions batches
-// round-robin and merges completion-order streams. Close the returned
-// Evaluator when done; closing a composite closes every backend.
+// Multiple backends compose behind a Balancer: least-loaded placement,
+// health probes and job failover. Without WithFailover a lone local
+// engine is returned bare, and a lone peer gets the Balancer front only
+// with WithResultCache. Close the returned Evaluator when done; closing
+// a composite closes every backend.
 //
 // New fails on an invalid peer URL and on incoherent option
 // combinations — failover tuning (WithChunk, WithMaxRetries,
-// WithHealthInterval) without WithFailover, autoscale tuning or standby
-// peers without WithAutoscale, inverted autoscale bounds or thresholds,
-// WithAutoscale mixed with a fixed topology, cache tuning
+// WithHealthInterval) without a Balancer front, autoscale tuning or
+// standby peers without WithAutoscale, inverted autoscale bounds or
+// thresholds, WithAutoscale mixed with a fixed topology, cache tuning
 // (WithCachePeers, WithCacheMaxBytes, WithCacheEpoch) without
-// WithResultCache — with an error wrapping the typed ErrInvalidOptions. The CLIs vet their flags
-// through the same rule set, so the diagnostics match.
+// WithResultCache — with an error wrapping the typed ErrInvalidOptions.
+// The CLIs vet their flags through the same rule set, so the
+// diagnostics match.
 func New(opts ...Option) (Evaluator, error) {
 	var cfg evalConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	// remote.NewBackendWith owns the validation and composition rules
-	// (shard defaulting, shared vs private caches, ShardSet, Balancer
-	// or Autoscaler wrapping) so this constructor and serve.New cannot
+	// (shard defaulting, shared vs private caches, Balancer or
+	// Autoscaler wrapping) so this constructor and serve.New cannot
 	// drift.
 	return remote.NewBackendWith(remote.BackendConfig{
 		Shards: cfg.shards,

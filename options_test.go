@@ -37,6 +37,9 @@ func TestNewRejectsInvalidOptionCombinations(t *testing.T) {
 		{name: "negative chunk",
 			opts: []art9.Option{art9.WithFailover(), art9.WithShards(2), art9.WithChunk(-1)},
 			want: "WithChunk must be >= 0"},
+		{name: "chunk over one explicit shard",
+			opts: []art9.Option{art9.WithShards(1), art9.WithChunk(8)},
+			want: "WithChunk"},
 		{name: "cache peers without result cache",
 			opts: []art9.Option{art9.WithCachePeers("http://h:1")},
 			want: "WithCachePeers"},
@@ -119,6 +122,8 @@ func TestNewAcceptsCoherentCombinations(t *testing.T) {
 		{name: "tuned failover fleet",
 			opts: []art9.Option{art9.WithFailover(), art9.WithShards(2), art9.WithWorkers(1),
 				art9.WithChunk(4), art9.WithMaxRetries(1), art9.WithHealthInterval(-1)}},
+		{name: "chunk over local shards",
+			opts: []art9.Option{art9.WithShards(2), art9.WithWorkers(1), art9.WithChunk(8)}},
 		{name: "elastic pool",
 			opts: []art9.Option{art9.WithAutoscale(1, 2), art9.WithWorkers(1),
 				art9.WithScaleInterval(-1)}},
