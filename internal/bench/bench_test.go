@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/rv32"
@@ -201,5 +202,22 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("bogus name found")
+	}
+}
+
+// BenchmarkSuiteJob times one whole suite job per workload — RV32
+// reference run, translation, assembly (a cache hit after the first) and
+// both ART-9 cores — with its allocations, the per-job cost the engine
+// pays for every evaluation.
+func BenchmarkSuiteJob(b *testing.B) {
+	for _, w := range Workloads {
+		b.Run(w.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunCtx(context.Background(), w, xlate.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

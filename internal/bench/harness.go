@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/rv32"
@@ -76,6 +77,19 @@ func Run(w Workload, opts xlate.Options) (*Outcome, error) {
 // workload at the next stage boundary. The simulators themselves run to
 // completion once started — each is bounded by its step budget.
 func RunCtx(ctx context.Context, w Workload, opts xlate.Options) (*Outcome, error) {
+	st := machines.Get().(*sim.State)
+	defer machines.Put(st)
+	return runOn(ctx, w, opts, st, st)
+}
+
+// machines recycles simulator States across jobs, so at most one State is
+// live per in-flight job and a State that last ran the same program keeps
+// its predecoded instruction image.
+var machines = sync.Pool{New: func() any { return sim.NewState(sim.Config{}) }}
+
+// runOn is RunCtx with the functional core running on fs and then the
+// pipeline on ps. One State may serve both, since Load resets it.
+func runOn(ctx context.Context, w Workload, opts xlate.Options, fs, ps *sim.State) (*Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("bench %s: %w", w.Name, err)
 	}
@@ -110,47 +124,47 @@ func RunCtx(ctx context.Context, w Workload, opts xlate.Options) (*Outcome, erro
 	}
 	data := xlate.DataImage(rvProg)
 
-	fn := sim.NewFunctional(sim.Config{})
-	if err := fn.S.Load(artProg); err != nil {
-		return nil, err
+	load := func(s *sim.State) error {
+		if err := s.Load(artProg); err != nil {
+			return err
+		}
+		if err := s.TDM.SetAll(data); err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("bench %s: %w", w.Name, err)
+		}
+		return nil
 	}
-	if err := fn.S.TDM.SetAll(data); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("bench %s: %w", w.Name, err)
-	}
-	if _, err := fn.Run(); err != nil {
-		return nil, fmt.Errorf("bench %s: art9 functional: %w", w.Name, err)
-	}
-	fchk, err := out.ReadBack(fn.S, 10)
-	if err != nil {
-		return nil, err
-	}
-	if fchk != ref {
-		return nil, fmt.Errorf("bench %s: functional checksum %d != rv32 %d", w.Name, fchk, ref)
+	check := func(core string, s *sim.State) error {
+		chk, err := out.ReadBack(s, 10)
+		if err != nil {
+			return err
+		}
+		if chk != ref {
+			return fmt.Errorf("bench %s: %s checksum %d != rv32 %d", w.Name, core, chk, ref)
+		}
+		return nil
 	}
 
-	pl := sim.NewPipeline(sim.Config{})
-	if err := pl.S.Load(artProg); err != nil {
+	if err := load(fs); err != nil {
 		return nil, err
 	}
-	if err := pl.S.TDM.SetAll(data); err != nil {
+	if _, err := (&sim.Functional{S: fs}).Run(); err != nil {
+		return nil, fmt.Errorf("bench %s: art9 functional: %w", w.Name, err)
+	}
+	if err := check("functional", fs); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("bench %s: %w", w.Name, err)
+	if err := load(ps); err != nil {
+		return nil, err
 	}
-	pres, err := pl.Run()
+	pres, err := (&sim.Pipeline{S: ps}).Run()
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: art9 pipeline: %w", w.Name, err)
 	}
-	pchk, err := out.ReadBack(pl.S, 10)
-	if err != nil {
+	if err := check("pipelined", ps); err != nil {
 		return nil, err
-	}
-	if pchk != ref {
-		return nil, fmt.Errorf("bench %s: pipelined checksum %d != rv32 %d", w.Name, pchk, ref)
 	}
 
 	return &Outcome{

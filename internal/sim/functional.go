@@ -1,14 +1,13 @@
 package sim
 
-import (
-	"fmt"
-
-	"repro/internal/isa"
-)
+import "fmt"
 
 // Functional is the instruction-accurate reference core: one instruction
 // per step, no micro-architecture. It defines the architectural semantics
 // against which the pipelined core is verified.
+//
+// A Functional literal over an existing State, Functional{S: s}, runs s
+// with the default step budget.
 type Functional struct {
 	S   *State
 	cfg Config
@@ -19,19 +18,24 @@ func NewFunctional(cfg Config) *Functional {
 	return &Functional{S: NewState(cfg), cfg: cfg.withDefaults()}
 }
 
-// Step executes a single instruction. It returns done=true when the core
+// step executes a single instruction. It returns done=true when the core
 // retires a halt (jump-to-self).
-func (f *Functional) Step(res *Result) (done bool, err error) {
+func (f *Functional) step(res *Result) (done bool, err error) {
 	s := f.S
-	w, err := s.TIM.ReadP(s.PC.UIndex())
-	if err != nil {
-		return false, fmt.Errorf("sim: fetch at PC=%d: %w", s.PC.Int(), err)
+	d := s.slotAt(s.PC)
+	if d == nil {
+		w, err := s.TIM.ReadP(s.PC.UIndex())
+		if err != nil {
+			return false, fmt.Errorf("sim: fetch at PC=%d: %w", s.PC.Int(), err)
+		}
+		sl, err := decodeAt(w, s.PC)
+		if err != nil {
+			return false, fmt.Errorf("sim: at PC=%d: %w", s.PC.Int(), err)
+		}
+		d = &sl
 	}
-	in, err := isa.DecodePacked(w)
-	if err != nil {
-		return false, fmt.Errorf("sim: at PC=%d: %w", s.PC.Int(), err)
-	}
-	e := evaluate(in, s.PC, s.TRF[in.Ta], s.TRF[in.Tb])
+	in := d.in
+	e := evaluate(d, s.TRF[in.Ta], s.TRF[in.Tb])
 	if e.isLoad {
 		v, err := s.TDM.ReadP(e.addr.UIndex())
 		if err != nil {
@@ -80,8 +84,10 @@ func (f *Functional) Step(res *Result) (done bool, err error) {
 // Run executes until halt or the step budget is exhausted.
 func (f *Functional) Run() (Result, error) {
 	var res Result
-	for steps := 0; steps < f.cfg.MaxSteps; steps++ {
-		done, err := f.Step(&res)
+	f.S.predecode()
+	budget := f.cfg.withDefaults().MaxSteps
+	for steps := 0; steps < budget; steps++ {
+		done, err := f.step(&res)
 		if err != nil {
 			return res, err
 		}
@@ -89,5 +95,5 @@ func (f *Functional) Run() (Result, error) {
 			return res, nil
 		}
 	}
-	return res, ErrNoHalt{f.cfg.MaxSteps}
+	return res, ErrNoHalt{budget}
 }

@@ -4,12 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
+	"repro/internal/ternary"
 )
 
 // TestLoadResetsStateBetweenPrograms reuses one State for a long program
 // and then a shorter one: the second Load must zero every word beyond the
-// new image and clear the access counters, or the power model sees the
-// first program's residue.
+// new image, every register and the PC, or the second program starts
+// from the first one's residue.
 func TestLoadResetsStateBetweenPrograms(t *testing.T) {
 	long, err := asm.Assemble(`
 		LDI T1, 111
@@ -61,13 +63,15 @@ func TestLoadResetsStateBetweenPrograms(t *testing.T) {
 			t.Errorf("TDM[%d] = %v, want zero after reload", a, w)
 		}
 	}
-	// Access counters restart from the fresh Load (the Read above is the
-	// only access so far: TDM reads=1, TIM reads=0).
-	if r, w := f.S.TIM.Accesses(); r != 0 || w != 0 {
-		t.Errorf("TIM accesses after reload = %d/%d, want 0/0", r, w)
+	// No stale registers or PC: the first run left T1..T3 and the halt
+	// address behind.
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		if got := f.S.Reg(r); !got.IsZero() {
+			t.Errorf("T%d = %v after reload, want zero", r, got)
+		}
 	}
-	if r, w := f.S.TDM.Accesses(); r != 2 || w != 0 {
-		t.Errorf("TDM accesses after reload = %d/%d, want 2/0 (the checks above)", r, w)
+	if !f.S.PC.IsZero() {
+		t.Errorf("PC = %d after reload, want 0", f.S.PC.Int())
 	}
 
 	// The short program still runs correctly on the reused state.
@@ -80,5 +84,34 @@ func TestLoadResetsStateBetweenPrograms(t *testing.T) {
 	}
 	if got := f.S.Reg(1).Int(); got != 5 {
 		t.Errorf("T1 = %d, want 5", got)
+	}
+}
+
+// TestLoadZeroesRegisterFile writes every register of a State directly,
+// reloads it, and expects the new program to start from a zeroed TRF — a
+// reused machine must not hand one job's registers to the next.
+func TestLoadZeroesRegisterFile(t *testing.T) {
+	p, err := asm.Assemble("HALT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewState(Config{})
+	if err := s.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		s.SetReg(r, ternary.FromInt(100*int(r)-401))
+	}
+	s.PC = ternary.PackedFromInt(7)
+	if err := s.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		if got := s.Reg(r); !got.IsZero() {
+			t.Errorf("Reg(T%d) = %d after reload, want 0", r, got.Int())
+		}
+	}
+	if !s.PC.IsZero() {
+		t.Errorf("PC = %d after reload, want 0", s.PC.Int())
 	}
 }

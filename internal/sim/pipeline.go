@@ -22,7 +22,9 @@ import (
 //     cycles when there exist load-use data hazards and taken branches".
 //
 // The model executes real values through the stage latches; tests verify
-// that its final architectural state equals the functional core's.
+// that its final architectural state equals the functional core's. A
+// Pipeline literal over an existing State, Pipeline{S: s}, runs s with the
+// default step budget.
 type Pipeline struct {
 	S   *State
 	cfg Config
@@ -40,54 +42,43 @@ func NewPipeline(cfg Config) *Pipeline {
 type latchIFID struct {
 	valid bool
 	pc    ternary.Packed
-	inst  isa.Inst
+	d     *slot
 }
 
-// latchIDEX carries a decoded instruction with resolved operands.
-type latchIDEX struct {
-	valid  bool
-	pc     ternary.Packed
-	inst   isa.Inst
-	ta, tb ternary.Packed // forwarded operand values
-	halt   bool           // this instruction is the halt transfer
-}
-
-// latchEXMEM carries the computed effect.
-type latchEXMEM struct {
+// latch carries an instruction past ID, through ID/EX, EX/MEM and MEM/WB,
+// with the effect ID computed from its forwarded operands. EX passes the
+// effect on unchanged; MEM fills val for loads.
+type latch struct {
 	valid bool
-	inst  isa.Inst
+	d     *slot
 	eff   effect
-	halt  bool
-}
-
-// latchMEMWB carries the writeback value.
-type latchMEMWB struct {
-	valid bool
-	inst  isa.Inst
-	eff   effect // val filled for loads
-	halt  bool
+	halt  bool // this instruction is the halt transfer
 }
 
 // Run executes the loaded program cycle by cycle until the halt
 // instruction leaves writeback.
 func (p *Pipeline) Run() (Result, error) {
 	var (
-		res   Result
-		ifid  latchIFID
-		idex  latchIDEX
-		exmem latchEXMEM
-		memwb latchMEMWB
+		res                Result
+		ifid               latchIFID
+		idex, exmem, memwb latch
 
 		fetchPC   = p.S.PC
 		stopFetch bool // halt observed in ID: stop issuing new work
+
+		// Pre-shift snapshots for the trace: the instruction each stage
+		// is working on THIS cycle, rendered at the cycle's end.
+		idS            latchIFID
+		exS, memS, wbS latch
 	)
+	p.S.predecode()
+	budget := p.cfg.withDefaults().MaxSteps
 
-	for cycle := 0; cycle < p.cfg.MaxSteps; cycle++ {
+	for cycle := 0; cycle < budget; cycle++ {
 		res.Cycles++
-
-		// Pre-shift snapshots: the instruction each stage is working on
-		// THIS cycle, for the trace line rendered at the cycle's end.
-		idS, exS, memS, wbS := ifid, idex, exmem, memwb
+		if p.Trace != nil {
+			idS, exS, memS, wbS = ifid, idex, exmem, memwb
+		}
 
 		// ---- WB: retire memwb (first half of cycle: write TRF).
 		if memwb.valid {
@@ -98,8 +89,8 @@ func (p *Pipeline) Run() (Result, error) {
 				// like any other instruction, so its opcode counts
 				// toward the mix (ΣOpMix must reach 1).
 				res.Retired++
-				res.ByCategory[memwb.inst.Op.Category()]++
-				res.ByOp[memwb.inst.Op]++
+				res.ByCategory[memwb.d.in.Op.Category()]++
+				res.ByOp[memwb.d.in.Op]++
 				p.S.PC = e.nextPC
 				res.HaltPC = e.nextPC.UIndex()
 				return res, nil
@@ -108,8 +99,8 @@ func (p *Pipeline) Run() (Result, error) {
 				p.S.TRF[e.reg] = e.val
 			}
 			res.Retired++
-			res.ByCategory[memwb.inst.Op.Category()]++
-			res.ByOp[memwb.inst.Op]++
+			res.ByCategory[memwb.d.in.Op.Category()]++
+			res.ByOp[memwb.d.in.Op]++
 			if e.branch {
 				if e.taken {
 					res.Taken++
@@ -120,11 +111,10 @@ func (p *Pipeline) Run() (Result, error) {
 				res.Jumps++
 			}
 		}
-		memwb = latchMEMWB{}
 
 		// ---- MEM: TDM access for exmem.
 		if exmem.valid {
-			e := exmem.eff
+			e := &exmem.eff
 			if e.isLoad {
 				v, err := p.S.TDM.ReadP(e.addr.UIndex())
 				if err != nil {
@@ -139,23 +129,18 @@ func (p *Pipeline) Run() (Result, error) {
 				}
 				res.Stores++
 			}
-			memwb = latchMEMWB{valid: true, inst: exmem.inst, eff: e, halt: exmem.halt}
 		}
-		exmem = latchEXMEM{}
+		memwb = exmem
 
-		// ---- EX: compute the effect with the operands resolved in ID.
-		if idex.valid {
-			e := evaluate(idex.inst, idex.pc, idex.ta, idex.tb)
-			exmem = latchEXMEM{valid: true, inst: idex.inst, eff: e, halt: idex.halt}
-		}
-		idex = latchIDEX{}
+		// ---- EX: the effect ID computed from the resolved operands.
+		exmem, idex = idex, latch{}
 
 		// ---- ID: hazard detection, forwarding, branch resolution.
 		redirect := false
 		var redirectPC ternary.Packed
 		stalled := false
 		if ifid.valid {
-			in := ifid.inst
+			in := ifid.d.in
 			// Load-use hazard: the instruction now entering EX (exmem
 			// was just filled from idex — but that is this cycle's EX;
 			// the HDU compares ID against the instruction in EX).
@@ -169,9 +154,9 @@ func (p *Pipeline) Run() (Result, error) {
 			if !stalled {
 				ta := p.forward(in.Ta, exmem, memwb)
 				tb := p.forward(in.Tb, exmem, memwb)
-				e := evaluate(in, ifid.pc, ta, tb)
+				e := evaluate(ifid.d, ta, tb)
 				halt := e.isHalt(ifid.pc)
-				idex = latchIDEX{valid: true, pc: ifid.pc, inst: in, ta: ta, tb: tb, halt: halt}
+				idex = latch{valid: true, d: ifid.d, eff: e, halt: halt}
 				if halt {
 					stopFetch = true
 				} else if e.taken {
@@ -193,16 +178,20 @@ func (p *Pipeline) Run() (Result, error) {
 		} else if stopFetch {
 			ifid = latchIFID{}
 		} else {
-			w, err := p.S.TIM.ReadP(fetchPC.UIndex())
-			if err != nil {
-				return res, fmt.Errorf("sim: IF at PC=%d: %w", fetchPC.Int(), err)
+			d := p.S.slotAt(fetchPC)
+			if d == nil {
+				w, err := p.S.TIM.ReadP(fetchPC.UIndex())
+				if err != nil {
+					return res, fmt.Errorf("sim: IF at PC=%d: %w", fetchPC.Int(), err)
+				}
+				sl, err := decodeAt(w, fetchPC)
+				if err != nil {
+					return res, fmt.Errorf("sim: IF at PC=%d: %w", fetchPC.Int(), err)
+				}
+				d = &sl
 			}
-			in, err := isa.DecodePacked(w)
-			if err != nil {
-				return res, fmt.Errorf("sim: IF at PC=%d: %w", fetchPC.Int(), err)
-			}
-			ifid = latchIFID{valid: true, pc: fetchPC, inst: in}
-			fetchPC = fetchPC.Inc()
+			ifid = latchIFID{valid: true, pc: fetchPC, d: d}
+			fetchPC = d.seq
 			ifS = ifid
 		}
 
@@ -210,14 +199,14 @@ func (p *Pipeline) Run() (Result, error) {
 			p.Trace(res.Cycles, p.traceLine(ifS, idS, exS, memS, wbS, stalled, redirect))
 		}
 	}
-	return res, ErrNoHalt{p.cfg.MaxSteps}
+	return res, ErrNoHalt{budget}
 }
 
 // forward resolves the value of register r as seen by the instruction in
 // ID: the newest in-flight producer wins (EX this cycle, then MEM, then
 // WB); otherwise the register file. The load-use stall rule guarantees
 // that an EX-stage LOAD is never selected here.
-func (p *Pipeline) forward(r isa.Reg, exmem latchEXMEM, memwb latchMEMWB) ternary.Packed {
+func (p *Pipeline) forward(r isa.Reg, exmem, memwb latch) ternary.Packed {
 	if exmem.valid && exmem.eff.writesReg && exmem.eff.reg == r && !exmem.eff.isLoad {
 		return exmem.eff.val
 	}
@@ -232,12 +221,12 @@ func (p *Pipeline) forward(r isa.Reg, exmem latchEXMEM, memwb latchMEMWB) ternar
 // contents snapshotted at the top of the loop, plus the instruction IF
 // fetched — so the five columns line up with the textbook pipeline diagram
 // rather than trailing a stage behind.
-func (p *Pipeline) traceLine(ifS latchIFID, idS latchIFID, exS latchIDEX, memS latchEXMEM, wbS latchMEMWB, stalled, redirect bool) string {
-	stage := func(valid bool, in isa.Inst) string {
+func (p *Pipeline) traceLine(ifS, idS latchIFID, exS, memS, wbS latch, stalled, redirect bool) string {
+	stage := func(valid bool, d *slot) string {
 		if !valid {
 			return "-"
 		}
-		return in.String()
+		return d.in.String()
 	}
 	flags := ""
 	if stalled {
@@ -247,7 +236,7 @@ func (p *Pipeline) traceLine(ifS latchIFID, idS latchIFID, exS latchIDEX, memS l
 		flags += " [redirect]"
 	}
 	return fmt.Sprintf("IF:%-18s ID:%-18s EX:%-18s MEM:%-18s WB:%-18s%s",
-		stage(ifS.valid, ifS.inst), stage(idS.valid, idS.inst),
-		stage(exS.valid, exS.inst), stage(memS.valid, memS.inst),
-		stage(wbS.valid, wbS.inst), flags)
+		stage(ifS.valid, ifS.d), stage(idS.valid, idS.d),
+		stage(exS.valid, exS.d), stage(memS.valid, memS.d),
+		stage(wbS.valid, wbS.d), flags)
 }

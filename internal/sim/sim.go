@@ -60,11 +60,21 @@ func (c Config) withDefaults() Config {
 // the nine-entry ternary register file, and the two memories. PC and TRF
 // hold the bit-plane form (ternary.Packed) so the datapath never converts
 // per trit; Reg/SetReg expose the Word view at the boundary.
+//
+// A State may be reloaded and run any number of times. It keeps its
+// predecoded instruction image across runs, so a reused State allocates
+// only when a program is longer than any it ran before.
 type State struct {
 	PC  ternary.Packed
 	TRF [isa.NumRegs]ternary.Packed
 	TIM *tmem.Memory
 	TDM *tmem.Memory
+
+	// image is TIM[0:imageLen] predecoded, brought up to date with TIM
+	// at the start of every run; imageLen is the length of the last
+	// loaded program.
+	image    []slot
+	imageLen int
 }
 
 // NewState builds a zeroed machine with the given configuration.
@@ -76,20 +86,73 @@ func NewState(cfg Config) *State {
 	}
 }
 
-// Load initialises TIM and TDM from an assembled program and resets PC.
-// Both memories are Reset first, so reloading over a previously used State
-// neither leaks words beyond the new image nor carries stale access counts
-// into the power model.
+// Load initialises TIM and TDM from an assembled program and resets PC and
+// the register file. Both memories are Reset first, so reloading over a
+// previously used State leaks nothing from the earlier program: no
+// instruction or data word beyond the new image and no register value.
 func (s *State) Load(p *asm.Program) error {
 	s.TIM.Reset()
 	s.TDM.Reset()
+	s.TRF = [isa.NumRegs]ternary.Packed{}
+	s.PC = ternary.Packed{}
+	s.imageLen = 0
 	if err := s.TIM.LoadImage(p.Words); err != nil {
 		return err
 	}
-	if err := s.TDM.SetAll(p.Data); err != nil {
-		return err
+	s.imageLen = len(p.Words)
+	return s.TDM.SetAll(p.Data)
+}
+
+// slot is one predecoded TIM word: the instruction plus every value that
+// depends only on the word and its address, so a step never re-derives
+// them.
+type slot struct {
+	word   ternary.Packed // the TIM word the slot was decoded from
+	ok     bool           // false until built, and for a word that does not decode
+	in     isa.Inst
+	imm    ternary.Packed // in.Imm in packed form
+	seq    ternary.Packed // the word's address plus one
+	target ternary.Packed // address plus imm: the BEQ/BNE/JAL destination
+}
+
+// decodeAt decodes the word w fetched from address pc.
+func decodeAt(w, pc ternary.Packed) (slot, error) {
+	in, err := isa.DecodePacked(w)
+	if err != nil {
+		return slot{word: w}, err
 	}
-	s.PC = ternary.Packed{}
+	imm := ternary.PackedFromInt(in.Imm)
+	return slot{word: w, ok: true, in: in, imm: imm, seq: pc.Inc(), target: pc.Add(imm)}, nil
+}
+
+// predecode brings the image up to date with TIM[0:imageLen]. A slot is
+// rebuilt only when TIM no longer holds the word it was decoded from, so
+// a program run on both cores, or rerun, over one State decodes once,
+// and TIM written directly since the Load still executes as written.
+func (s *State) predecode() {
+	if s.imageLen > cap(s.image) {
+		s.image = make([]slot, s.imageLen)
+	}
+	s.image = s.image[:s.imageLen]
+	for i := range s.image {
+		w, err := s.TIM.ReadP(i)
+		if err != nil { // TIM replaced by a smaller memory since the Load
+			s.image = s.image[:i]
+			return
+		}
+		if d := &s.image[i]; !d.ok || d.word != w {
+			*d, _ = decodeAt(w, ternary.PackedFromInt(i))
+		}
+	}
+}
+
+// slotAt returns the image slot of the instruction at pc, or nil when the
+// image does not cover pc or its word does not decode; the cores then read
+// and decode TIM on the spot, which reports the fault.
+func (s *State) slotAt(pc ternary.Packed) *slot {
+	if i := pc.UIndex(); i < len(s.image) && s.image[i].ok {
+		return &s.image[i]
+	}
 	return nil
 }
 
@@ -166,14 +229,14 @@ type effect struct {
 // liLoMask covers the 5 low trit positions replaced by LI.
 const liLoMask = 1<<5 - 1
 
-// evaluate computes the effect of in executed at pc with register read
-// values ta and tb (already forwarded by the caller as appropriate).
-// Everything runs in the bit-plane form; each kernel is differentially
-// pinned to the trit-serial reference in internal/ternary, so the
-// architectural semantics of Table I are unchanged.
-func evaluate(in isa.Inst, pc, ta, tb ternary.Packed) effect {
-	seq := pc.Inc()
-	e := effect{nextPC: seq}
+// evaluate computes the effect of the predecoded instruction d with
+// register read values ta and tb (already forwarded by the caller as
+// appropriate). Everything runs in the bit-plane form; each kernel is
+// differentially pinned to the trit-serial reference in internal/ternary,
+// so the architectural semantics of Table I are unchanged.
+func evaluate(d *slot, ta, tb ternary.Packed) effect {
+	in := &d.in
+	e := effect{nextPC: d.seq}
 	switch in.Op {
 	case isa.MV:
 		e.writesReg, e.reg, e.val = true, in.Ta, tb
@@ -202,9 +265,9 @@ func evaluate(in isa.Inst, pc, ta, tb ternary.Packed) effect {
 	case isa.COMP:
 		e.writesReg, e.reg, e.val = true, in.Ta, ta.Comp(tb)
 	case isa.ANDI:
-		e.writesReg, e.reg, e.val = true, in.Ta, ta.And(ternary.PackedFromInt(in.Imm))
+		e.writesReg, e.reg, e.val = true, in.Ta, ta.And(d.imm)
 	case isa.ADDI:
-		e.writesReg, e.reg, e.val = true, in.Ta, ta.Add(ternary.PackedFromInt(in.Imm))
+		e.writesReg, e.reg, e.val = true, in.Ta, ta.Add(d.imm)
 	case isa.SRI:
 		e.writesReg, e.reg, e.val = true, in.Ta, ta.ShiftRight(ternary.ShiftAmount(in.Imm))
 	case isa.SLI:
@@ -212,12 +275,11 @@ func evaluate(in isa.Inst, pc, ta, tb ternary.Packed) effect {
 	case isa.LUI:
 		// imm fits in 4 trits, so its packed form occupies bits 0..3;
 		// shifting by 5 lands it in the upper field with zero fill.
-		e.writesReg, e.reg, e.val = true, in.Ta, ternary.PackedFromInt(in.Imm).ShiftLeft(5)
+		e.writesReg, e.reg, e.val = true, in.Ta, d.imm.ShiftLeft(5)
 	case isa.LI:
-		low := ternary.PackedFromInt(in.Imm) // 5-trit imm: bits 0..4 only
-		v := ternary.Packed{                 // keep TRF[Ta][8:5], replace [4:0]
-			N: ta.N&^liLoMask | low.N,
-			P: ta.P&^liLoMask | low.P,
+		v := ternary.Packed{ // keep TRF[Ta][8:5], replace [4:0] (5-trit imm: bits 0..4 only)
+			N: ta.N&^liLoMask | d.imm.N,
+			P: ta.P&^liLoMask | d.imm.P,
 		}
 		e.writesReg, e.reg, e.val = true, in.Ta, v
 	case isa.BEQ, isa.BNE:
@@ -227,24 +289,24 @@ func evaluate(in isa.Inst, pc, ta, tb ternary.Packed) effect {
 			cond = !cond
 		}
 		if cond {
-			e.nextPC = pc.Add(ternary.PackedFromInt(in.Imm))
+			e.nextPC = d.target
 			e.taken = true
 		}
 	case isa.JAL:
-		e.writesReg, e.reg, e.val = true, in.Ta, seq
-		e.nextPC = pc.Add(ternary.PackedFromInt(in.Imm))
+		e.writesReg, e.reg, e.val = true, in.Ta, d.seq
+		e.nextPC = d.target
 		e.taken = true
 	case isa.JALR:
-		e.writesReg, e.reg, e.val = true, in.Ta, seq
-		e.nextPC = tb.Add(ternary.PackedFromInt(in.Imm))
+		e.writesReg, e.reg, e.val = true, in.Ta, d.seq
+		e.nextPC = tb.Add(d.imm)
 		e.taken = true
 	case isa.LOAD:
 		e.isLoad = true
 		e.writesReg, e.reg = true, in.Ta
-		e.addr = tb.Add(ternary.PackedFromInt(in.Imm))
+		e.addr = tb.Add(d.imm)
 	case isa.STORE:
 		e.isStore = true
-		e.addr = tb.Add(ternary.PackedFromInt(in.Imm))
+		e.addr = tb.Add(d.imm)
 		e.store = ta
 	}
 	return e

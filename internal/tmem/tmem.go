@@ -1,8 +1,8 @@
 // Package tmem models the ternary instruction and data memories (TIM and
 // TDM, §IV-A of the paper): synchronous single-port, word-addressed arrays
 // of 9-trit cells. A behavioural model stands in for the ternary SRAM of
-// [11]; the evaluation framework consumes only its cell counts and access
-// statistics (see DESIGN.md §4, substitution 6).
+// [11]; the evaluation framework consumes only its cell counts, and takes
+// access activity from the simulator's retired, load and store counts.
 package tmem
 
 import (
@@ -22,9 +22,6 @@ const MaxWords = ternary.WordStates
 type Memory struct {
 	name  string
 	words []ternary.Packed
-
-	reads  uint64
-	writes uint64
 }
 
 // New returns a memory holding size 9-trit words. It panics if size is not
@@ -56,7 +53,6 @@ func (m *Memory) ReadP(addr int) (ternary.Packed, error) {
 	if addr < 0 || addr >= len(m.words) {
 		return ternary.Packed{}, fmt.Errorf("tmem: %s read at %d out of range [0,%d)", m.name, addr, len(m.words))
 	}
-	m.reads++
 	return m.words[addr], nil
 }
 
@@ -65,7 +61,6 @@ func (m *Memory) WriteP(addr int, q ternary.Packed) error {
 	if addr < 0 || addr >= len(m.words) {
 		return fmt.Errorf("tmem: %s write at %d out of range [0,%d)", m.name, addr, len(m.words))
 	}
-	m.writes++
 	m.words[addr] = q
 	return nil
 }
@@ -116,17 +111,8 @@ func (m *Memory) SetAll(init map[int]ternary.Word) error {
 	return nil
 }
 
-// Reset zeroes contents and statistics.
-func (m *Memory) Reset() {
-	for i := range m.words {
-		m.words[i] = ternary.Packed{}
-	}
-	m.reads, m.writes = 0, 0
-}
-
-// Accesses returns the read and write counts since construction or Reset,
-// inputs to the memory power model.
-func (m *Memory) Accesses() (reads, writes uint64) { return m.reads, m.writes }
+// Reset zeroes the contents.
+func (m *Memory) Reset() { clear(m.words) }
 
 // Snapshot returns a copy of the memory contents (for test comparison).
 func (m *Memory) Snapshot() []ternary.Word {

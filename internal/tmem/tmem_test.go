@@ -109,31 +109,6 @@ func TestSetAllAndReset(t *testing.T) {
 	if w, _ := m.Read(3); !w.IsZero() {
 		t.Error("Reset did not clear contents")
 	}
-	if r, wr := m.Accesses(); r != 1 || wr != 0 {
-		// The Read after Reset counts 1; Reset cleared earlier stats.
-		t.Errorf("Accesses() after reset = %d,%d", r, wr)
-	}
-}
-
-func TestAccessCounters(t *testing.T) {
-	m := New("TDM", 16)
-	for i := 0; i < 5; i++ {
-		if err := m.Write(i, ternary.FromInt(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := m.Read(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Failed accesses must not count.
-	m.Read(99)
-	m.Write(99, ternary.Word{})
-	r, w := m.Accesses()
-	if r != 3 || w != 5 {
-		t.Errorf("Accesses() = %d,%d; want 3,5", r, w)
-	}
 }
 
 func TestSnapshotIsCopy(t *testing.T) {

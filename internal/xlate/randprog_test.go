@@ -2,100 +2,11 @@ package xlate
 
 import (
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/rv32"
+	"repro/internal/xlate/randprog"
 )
-
-// progGen builds random structured RV32 programs: straight-line arithmetic
-// mixed with if/else diamonds and bounded counted loops (always
-// terminating), over the value-contract-safe subset. This is the widest
-// net for translator bugs: every control-flow shape the mapping, label
-// resolution, and peephole phases must preserve.
-type progGen struct {
-	rng   *rand.Rand
-	b     strings.Builder
-	label int
-	depth int
-}
-
-func (g *progGen) newLabel(prefix string) string {
-	g.label++
-	return fmt.Sprintf("%s%d", prefix, g.label)
-}
-
-var genRegs = []string{"a0", "a1", "a2", "a3", "t0", "t1", "s2", "s3"}
-
-func (g *progGen) reg() string { return genRegs[g.rng.Intn(len(genRegs))] }
-
-// stmt emits one random statement (possibly a nested structure).
-func (g *progGen) stmt() {
-	switch k := g.rng.Intn(10); {
-	case k < 4: // arithmetic
-		d, s1, s2 := g.reg(), g.reg(), g.reg()
-		switch g.rng.Intn(4) {
-		case 0:
-			fmt.Fprintf(&g.b, "\tadd %s, %s, %s\n", d, s1, s2)
-		case 1:
-			fmt.Fprintf(&g.b, "\tsub %s, %s, %s\n", d, s1, s2)
-		case 2:
-			fmt.Fprintf(&g.b, "\taddi %s, %s, %d\n", d, s1, g.rng.Intn(39)-19)
-		case 3:
-			fmt.Fprintf(&g.b, "\tslt %s, %s, %s\n", d, s1, s2)
-		}
-	case k < 6: // memory (aligned scratch area at 512..1020)
-		r, base := g.reg(), 512+4*g.rng.Intn(120)
-		if g.rng.Intn(2) == 0 {
-			fmt.Fprintf(&g.b, "\tli s4, %d\n\tsw %s, 0(s4)\n", base, r)
-		} else {
-			fmt.Fprintf(&g.b, "\tli s4, %d\n\tlw %s, 0(s4)\n", base, r)
-		}
-	case k < 8 && g.depth < 2: // if/else diamond
-		g.depth++
-		els, end := g.newLabel("E"), g.newLabel("X")
-		cond := g.rng.Intn(3)
-		r1, r2 := g.reg(), g.reg()
-		switch cond {
-		case 0:
-			fmt.Fprintf(&g.b, "\tbeq %s, %s, %s\n", r1, r2, els)
-		case 1:
-			fmt.Fprintf(&g.b, "\tblt %s, %s, %s\n", r1, r2, els)
-		case 2:
-			fmt.Fprintf(&g.b, "\tbge %s, %s, %s\n", r1, r2, els)
-		}
-		g.stmt()
-		fmt.Fprintf(&g.b, "\tj %s\n%s:\n", end, els)
-		g.stmt()
-		fmt.Fprintf(&g.b, "%s:\n", end)
-		g.depth--
-	case k < 9 && g.depth < 2: // bounded counted loop
-		g.depth++
-		head := g.newLabel("L")
-		n := g.rng.Intn(5) + 2
-		fmt.Fprintf(&g.b, "\tli s5, %d\n%s:\n", n, head)
-		g.stmt()
-		fmt.Fprintf(&g.b, "\taddi s5, s5, -1\n\tbgtz s5, %s\n", head)
-		g.depth--
-	default: // clamp a register into a safe range to avoid overflow drift
-		r := g.reg()
-		g.b.WriteString("\tli s6, 1000\n")
-		fmt.Fprintf(&g.b, "\trem %s, %s, s6\n", r, r)
-	}
-}
-
-func (g *progGen) generate(n int) string {
-	g.b.Reset()
-	for i, r := range genRegs {
-		fmt.Fprintf(&g.b, "\tli %s, %d\n", r, (i*37)%100-50)
-	}
-	for i := 0; i < n; i++ {
-		g.stmt()
-	}
-	g.b.WriteString("\tebreak\n")
-	return g.b.String()
-}
 
 // TestRandomStructuredPrograms is the translator's acid test: 40 random
 // programs with nested control flow must produce identical register state
@@ -104,11 +15,11 @@ func TestRandomStructuredPrograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long property test")
 	}
-	g := &progGen{rng: rand.New(rand.NewSource(2024))}
+	g := randprog.New(2024)
 	for trial := 0; trial < 40; trial++ {
-		src := g.generate(12)
+		src := g.Generate(12)
 		e := runEquiv(t, src, Options{})
-		for _, rn := range genRegs {
+		for _, rn := range randprog.Regs {
 			r, _ := rv32.ParseReg(rn)
 			e.checkReg(t, fmt.Sprintf("structured-%d", trial), r)
 		}
@@ -125,12 +36,12 @@ func TestRandomStructuredProgramsNoPeephole(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long property test")
 	}
-	g := &progGen{rng: rand.New(rand.NewSource(4048))}
+	g := randprog.New(4048)
 	for trial := 0; trial < 15; trial++ {
-		src := g.generate(10)
+		src := g.Generate(10)
 		with := runEquiv(t, src, Options{})
 		without := runEquiv(t, src, Options{NoPeephole: true})
-		for _, rn := range genRegs {
+		for _, rn := range randprog.Regs {
 			r, _ := rv32.ParseReg(rn)
 			a, err := with.out.ReadBack(with.fn.S, r)
 			if err != nil {
