@@ -44,6 +44,9 @@ func TestValidateFleetFlags(t *testing.T) {
 		{name: "negative chunk rejected",
 			cfg:     remote.BackendConfig{Failover: true, Chunk: -1, Peers: fakePeers(2)},
 			wantErr: "-chunk must be >= 0"},
+		{name: "negative shards rejected",
+			cfg:     remote.BackendConfig{Shards: -2},
+			wantErr: "-shards must be >= 0"},
 		{name: "failover with nothing to fail over to",
 			cfg: remote.BackendConfig{Failover: true}, wantWarn: "single backend"},
 		{name: "failover with one explicit shard",

@@ -153,7 +153,7 @@ func TestMachineReuseAcrossWorkers(t *testing.T) {
 	}
 	eng := engine.New(engine.Options{Workers: 4})
 	defer eng.Close()
-	results, err := eng.RunAll(ctx, jobs)
+	results, err := eng.Run(ctx, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

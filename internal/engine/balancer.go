@@ -479,11 +479,6 @@ func (b *Balancer) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	return out, ctx.Err()
 }
 
-// RunAll is Run under the engine's historical batch name.
-func (b *Balancer) RunAll(ctx context.Context, jobs []Job) ([]Result, error) {
-	return b.Run(ctx, jobs)
-}
-
 // Stream dispatches like Run but yields each result the moment its job
 // resolves (after any failover), in completion order. The channel is
 // buffered to len(jobs) and always closes — the Evaluator contract.

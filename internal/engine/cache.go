@@ -1,12 +1,12 @@
 package engine
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/asm"
 	"repro/internal/gate"
+	"repro/internal/rescache"
 )
 
 // CacheStats snapshot one memoization cache's counters: lookups,
@@ -40,7 +40,7 @@ const (
 )
 
 // The process-wide caches every engine shares by default, so repeated
-// suite evaluations — successive RunAll calls, the bench harness, the
+// suite evaluations — successive Run calls, the bench harness, the
 // batch CLI — reuse each other's work. Both are LRU-bounded (the
 // Default*Cache* limits), so a long-lived embedder feeding unbounded
 // distinct sources through Compile/AssembleCached ages cold entries
@@ -50,70 +50,66 @@ var (
 	SharedAnalyses = NewAnalysisCache()
 )
 
-// lruEntry is one resident cache value with its accounted cost.
-type lruEntry[E any] struct {
-	key  string
-	cost int64
-	val  E
+// memo is the bookkeeping both memoization caches share: a
+// rescache.Index of per-key entries — the same recency index behind the
+// fleet-wide result cache — under a mutex, with lookup counters. An
+// entry is created on first lookup and filled by the caller (each entry
+// type carries its own sync.Once), so concurrent callers with the same
+// key block on one computation instead of duplicating it.
+type memo[E any] struct {
+	mu     sync.Mutex
+	idx    *rescache.Index[*E]
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
-// lruIndex is the bookkeeping shared by both memoization caches — the
-// same recency-list eviction and size accounting internal/rescache
-// uses for the fleet-wide result cache. Not self-locking: callers
-// operate under their cache's mutex.
-type lruIndex[E any] struct {
-	m          map[string]*list.Element
-	order      *list.List // front = most recently used
-	maxEntries int
-	maxBytes   int64
-	bytes      int64
-	evictions  uint64
-}
-
-func newLRUIndex[E any](maxEntries int, maxBytes int64) *lruIndex[E] {
-	return &lruIndex[E]{
-		m:          map[string]*list.Element{},
-		order:      list.New(),
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
+// init bounds the memo to maxEntries entries and maxBytes accounted
+// bytes; 0 selects the given default for that dimension, negative
+// leaves it unbounded.
+func (c *memo[E]) init(maxEntries int, maxBytes int64, defEntries int, defBytes int64) {
+	if maxEntries == 0 {
+		maxEntries = defEntries
 	}
+	if maxBytes == 0 {
+		maxBytes = defBytes
+	}
+	c.idx = rescache.NewIndex[*E](maxBytes, maxEntries)
 }
 
-// get returns the entry for key, refreshing its recency.
-func (x *lruIndex[E]) get(key string) (E, bool) {
-	el, ok := x.m[key]
+// entry returns the memo entry for key, creating one accounted at cost
+// on a miss.
+func (c *memo[E]) entry(key string, cost int64) *E {
+	c.mu.Lock()
+	e, ok := c.idx.Get(key)
 	if !ok {
-		var zero E
-		return zero, false
+		e = new(E)
+		c.idx.Put(key, cost, e)
 	}
-	x.order.MoveToFront(el)
-	return el.Value.(*lruEntry[E]).val, true
+	c.mu.Unlock()
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return e
 }
 
-// add inserts a new entry and evicts from the cold end until the
-// bounds hold; the entry just inserted is never evicted, so a single
-// oversized source still computes and memoizes.
-func (x *lruIndex[E]) add(key string, cost int64, v E) {
-	x.m[key] = x.order.PushFront(&lruEntry[E]{key: key, cost: cost, val: v})
-	x.bytes += cost
-	for (x.maxBytes > 0 && x.bytes > x.maxBytes) ||
-		(x.maxEntries > 0 && x.order.Len() > x.maxEntries) {
-		el := x.order.Back()
-		if el == nil || x.order.Len() == 1 {
-			break
-		}
-		e := x.order.Remove(el).(*lruEntry[E])
-		delete(x.m, e.key)
-		x.bytes -= e.cost
-		x.evictions++
+// Stats returns a snapshot of the counters.
+func (c *memo[E]) Stats() CacheStats {
+	c.mu.Lock()
+	n, bytes, ev := c.idx.Len(), c.idx.Bytes(), c.idx.Evictions()
+	c.mu.Unlock()
+	return CacheStats{
+		Hits: c.hits.Load(), Misses: c.misses.Load(),
+		Entries: n, Bytes: bytes, Evictions: ev,
 	}
 }
 
-// purge drops every entry; eviction counters are kept.
-func (x *lruIndex[E]) purge() {
-	x.m = map[string]*list.Element{}
-	x.order.Init()
-	x.bytes = 0
+// Purge drops every entry (counters are kept).
+func (c *memo[E]) Purge() {
+	c.mu.Lock()
+	c.idx.Purge()
+	c.mu.Unlock()
 }
 
 // progEntry memoizes one assembly, including its error: a source that
@@ -130,12 +126,7 @@ type progEntry struct {
 // memory), so one shared instance per source is safe under
 // concurrency. An evicted source simply re-assembles on next use —
 // holders of the evicted Program keep a valid value.
-type ProgramCache struct {
-	mu     sync.Mutex
-	idx    *lruIndex[*progEntry]
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
+type ProgramCache struct{ memo[progEntry] }
 
 // NewProgramCache returns a cache with the default bounds.
 func NewProgramCache() *ProgramCache {
@@ -146,51 +137,18 @@ func NewProgramCache() *ProgramCache {
 // and maxBytes accounted bytes; 0 selects the package default for that
 // dimension, negative leaves it unbounded.
 func NewProgramCacheSized(maxEntries int, maxBytes int64) *ProgramCache {
-	if maxEntries == 0 {
-		maxEntries = DefaultProgramCacheEntries
-	}
-	if maxBytes == 0 {
-		maxBytes = DefaultProgramCacheBytes
-	}
-	return &ProgramCache{idx: newLRUIndex[*progEntry](maxEntries, maxBytes)}
+	c := &ProgramCache{}
+	c.init(maxEntries, maxBytes, DefaultProgramCacheEntries, DefaultProgramCacheBytes)
+	return c
 }
 
 // Assemble returns the memoized program for src, assembling it on first
 // use. Concurrent callers with the same source block on one assembly
 // instead of duplicating it.
 func (c *ProgramCache) Assemble(src string) (*asm.Program, error) {
-	c.mu.Lock()
-	e, ok := c.idx.get(src)
-	if !ok {
-		e = &progEntry{}
-		c.idx.add(src, int64(len(src))+programFootprint, e)
-	}
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
+	e := c.entry(src, int64(len(src))+programFootprint)
 	e.once.Do(func() { e.p, e.err = asm.Assemble(src) })
 	return e.p, e.err
-}
-
-// Stats returns a snapshot of the counters.
-func (c *ProgramCache) Stats() CacheStats {
-	c.mu.Lock()
-	n, bytes, ev := c.idx.order.Len(), c.idx.bytes, c.idx.evictions
-	c.mu.Unlock()
-	return CacheStats{
-		Hits: c.hits.Load(), Misses: c.misses.Load(),
-		Entries: n, Bytes: bytes, Evictions: ev,
-	}
-}
-
-// Purge drops every entry (counters are kept).
-func (c *ProgramCache) Purge() {
-	c.mu.Lock()
-	c.idx.purge()
-	c.mu.Unlock()
 }
 
 type analysisEntry struct {
@@ -203,12 +161,7 @@ type analysisEntry struct {
 // reads the netlist and the technology — so a shared Analysis per key is
 // safe; callers must treat the returned Analysis (including its
 // Histogram map) as read-only.
-type AnalysisCache struct {
-	mu     sync.Mutex
-	idx    *lruIndex[*analysisEntry]
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
+type AnalysisCache struct{ memo[analysisEntry] }
 
 // NewAnalysisCache returns a cache with the default bounds.
 func NewAnalysisCache() *AnalysisCache {
@@ -219,13 +172,9 @@ func NewAnalysisCache() *AnalysisCache {
 // and maxBytes accounted bytes; 0 selects the package default for that
 // dimension, negative leaves it unbounded.
 func NewAnalysisCacheSized(maxEntries int, maxBytes int64) *AnalysisCache {
-	if maxEntries == 0 {
-		maxEntries = DefaultAnalysisCacheEntries
-	}
-	if maxBytes == 0 {
-		maxBytes = DefaultAnalysisCacheBytes
-	}
-	return &AnalysisCache{idx: newLRUIndex[*analysisEntry](maxEntries, maxBytes)}
+	c := &AnalysisCache{}
+	c.init(maxEntries, maxBytes, DefaultAnalysisCacheEntries, DefaultAnalysisCacheBytes)
+	return c
 }
 
 // Analyze returns the memoized analysis for (netlistKey, tech), building
@@ -233,38 +182,9 @@ func NewAnalysisCacheSized(maxEntries int, maxBytes int64) *AnalysisCache {
 // uniquely name what build() constructs.
 func (c *AnalysisCache) Analyze(netlistKey string, build func() *gate.Netlist, tech *gate.Technology) *gate.Analysis {
 	key := netlistKey + "\x00" + tech.Fingerprint()
-	c.mu.Lock()
-	e, ok := c.idx.get(key)
-	if !ok {
-		e = &analysisEntry{}
-		c.idx.add(key, int64(len(key))+analysisFootprint, e)
-	}
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
+	e := c.entry(key, int64(len(key))+analysisFootprint)
 	e.once.Do(func() { e.an = gate.Analyze(build(), tech) })
 	return e.an
-}
-
-// Stats returns a snapshot of the counters.
-func (c *AnalysisCache) Stats() CacheStats {
-	c.mu.Lock()
-	n, bytes, ev := c.idx.order.Len(), c.idx.bytes, c.idx.evictions
-	c.mu.Unlock()
-	return CacheStats{
-		Hits: c.hits.Load(), Misses: c.misses.Load(),
-		Entries: n, Bytes: bytes, Evictions: ev,
-	}
-}
-
-// Purge drops every entry (counters are kept).
-func (c *AnalysisCache) Purge() {
-	c.mu.Lock()
-	c.idx.purge()
-	c.mu.Unlock()
 }
 
 // The ART-9 pipelined-core netlist is immutable once built and the

@@ -8,7 +8,7 @@
 // The engine is deliberately generic: a Job is a closure, so the higher
 // layers (internal/bench, internal/core, internal/serve, cmd/art9-batch)
 // can submit any unit of work without this package depending on them.
-// RunAll returns results in submission order, which is how the
+// Run returns results in submission order, which is how the
 // concurrent suite reproduces the serial tables byte for byte; Stream
 // delivers them in completion order, which is how the evaluation server
 // pushes NDJSON rows to a client the moment each job finishes.
@@ -139,7 +139,7 @@ type task struct {
 }
 
 // Engine is a fixed-size worker pool with a buffered dispatch queue,
-// submission-order (RunAll) and completion-order (Stream) result
+// submission-order (Run) and completion-order (Stream) result
 // collection, and shared memoization caches.
 type Engine struct {
 	workers int
@@ -333,11 +333,6 @@ func (e *Engine) Submit(ctx context.Context, j Job) <-chan Result {
 // returned error is non-nil only when ctx ended before the batch
 // drained.
 func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
-	return e.RunAll(ctx, jobs)
-}
-
-// RunAll is Run under its historical name.
-func (e *Engine) RunAll(ctx context.Context, jobs []Job) ([]Result, error) {
 	chans := make([]<-chan Result, len(jobs))
 	for i, j := range jobs {
 		chans[i] = e.Submit(ctx, j)

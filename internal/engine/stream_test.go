@@ -11,7 +11,7 @@ import (
 
 // TestStreamCompletionOrder gates job completions in reverse submission
 // order and asserts the stream yields them in that completion order —
-// the property that distinguishes Stream from RunAll.
+// the property that distinguishes Stream from Run.
 func TestStreamCompletionOrder(t *testing.T) {
 	const n = 4
 	e := New(Options{Workers: n, PrivateCaches: true})
@@ -190,7 +190,7 @@ func TestLocalFleetRunAllAndStream(t *testing.T) {
 			Fn: func(context.Context) (any, error) { return i, nil },
 		}
 	}
-	results, err := s.RunAll(context.Background(), jobs)
+	results, err := s.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestLocalFleetRunAllAndStream(t *testing.T) {
 	}
 
 	// Least-loaded placement must put work on every shard across the
-	// 60 submissions (RunAll + Stream), and the totals must equal the
+	// 60 submissions (Run + Stream), and the totals must equal the
 	// sum plus the balancer's own Stream call.
 	var sum uint64
 	for i, st := range s.BackendStats() {
@@ -241,7 +241,7 @@ func TestLocalFleetSpreadsSmallBatches(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 30; i++ {
-		if _, err := s.RunAll(context.Background(), []Job{{
+		if _, err := s.Run(context.Background(), []Job{{
 			ID: fmt.Sprintf("one-%d", i),
 			Fn: func(context.Context) (any, error) { return nil, nil },
 		}}); err != nil {

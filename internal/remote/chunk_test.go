@@ -3,9 +3,10 @@ package remote_test
 // Failure-path tests of the chunked dispatch client: DispatchChunk must
 // acknowledge exactly the jobs whose rows arrived, leave severed-chunk
 // jobs entirely unresolved for the caller to re-dispatch, and resolve
-// peer-side shortfalls with retryable errors. The happy path across a
-// real serve instance is covered by the scenariotest matrix
-// (remote-chunked topology); these tests script the wire directly.
+// peer-side shortfalls with retryable errors; a bare client's batch Run
+// rides the same stream. The happy path across a real serve instance is
+// covered by the scenariotest matrix (remote-chunked topology); these
+// tests script the wire directly.
 
 import (
 	"context"
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -183,6 +185,94 @@ func TestDispatchChunkClosedClient(t *testing.T) {
 	}
 	if len(acked) != 0 {
 		t.Errorf("closed client acknowledged %d jobs", len(acked))
+	}
+}
+
+// recordQuery wraps h, recording each request's raw query string.
+func recordQuery(h http.Handler, queries *[]string) http.Handler {
+	var mu sync.Mutex
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		*queries = append(*queries, r.URL.RawQuery)
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestRunBatchUsesAckStream: the bare client's multi-job Run travels the
+// same acknowledged /v1/suite stream as DispatchChunk.
+func TestRunBatchUsesAckStream(t *testing.T) {
+	var queries []string
+	ts := httptest.NewServer(recordQuery(ndjsonHandler([]string{
+		`{"ack":"start","jobs":2}`, okRow("a"), okRow("b"), `{"ack":"end","rows":2}`}, nil), &queries))
+	defer ts.Close()
+	c := mustClient(t, ts.URL)
+
+	results, err := c.Run(context.Background(), []engine.Job{specJob("a"), specJob("b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Errorf("job %d failed: %v", i, r.Err)
+		}
+	}
+	if len(queries) != 1 || queries[0] != "ack=1" {
+		t.Errorf("batch request queries %q, want one request with ack=1", queries)
+	}
+}
+
+// TestRunBatchSeveredStream: a batch stream severed after k of n rows
+// resolves every job exactly once — the k received rows normally, the
+// n-k unacknowledged jobs with a retryable ErrUnavailable.
+func TestRunBatchSeveredStream(t *testing.T) {
+	ts := httptest.NewServer(ndjsonHandler(
+		[]string{`{"ack":"start","jobs":4}`, okRow("a"), okRow("b")},
+		func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) }))
+	defer ts.Close()
+	c := mustClient(t, ts.URL)
+
+	jobs := []engine.Job{specJob("a"), specJob("b"), specJob("c"), specJob("d")}
+	seen := map[string]int{}
+	for r := range c.Stream(context.Background(), jobs) {
+		seen[r.ID]++
+		switch r.ID {
+		case "a", "b":
+			if r.Err != nil {
+				t.Errorf("received row %s failed: %v", r.ID, r.Err)
+			}
+		default:
+			if !errors.Is(r.Err, engine.ErrUnavailable) {
+				t.Errorf("unacknowledged job %s error %v, want ErrUnavailable", r.ID, r.Err)
+			}
+		}
+	}
+	for _, j := range jobs {
+		if seen[j.ID] != 1 {
+			t.Errorf("job %s resolved %d times, want exactly once", j.ID, seen[j.ID])
+		}
+	}
+	if st := c.LocalStats(); st.Submitted != 4 || st.Completed != 2 || st.Failed != 2 {
+		t.Errorf("local stats %+v, want 4 submitted / 2 completed / 2 failed", st)
+	}
+}
+
+// TestRunBatchWithoutAcks: a peer that sends every row but no
+// acknowledgement rows — one predating the ?ack=1 variant — still
+// resolves the batch cleanly.
+func TestRunBatchWithoutAcks(t *testing.T) {
+	ts := httptest.NewServer(ndjsonHandler([]string{okRow("b"), okRow("a")}, nil))
+	defer ts.Close()
+	c := mustClient(t, ts.URL)
+
+	results, err := c.Run(context.Background(), []engine.Job{specJob("a"), specJob("b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Errorf("job %d failed: %v", i, r.Err)
+		}
 	}
 }
 

@@ -10,9 +10,12 @@ import (
 )
 
 // FuzzScanRows throws arbitrary peer bytes at the client's NDJSON row
-// parser — the surface a malicious or dying art9-serve peer writes to.
+// parser as a plain ack-less stream, the form a peer predating the
+// ?ack=1 variant writes. scanAckRows is the client's one row parser, so
+// this fuzzes it with the result-row handler doing the deciding.
 // Invariants: never panic, never error on blank input, stop cleanly
-// when the row handler is satisfied, and decode every row it reports.
+// when the row handler is satisfied, and account for every non-blank
+// line as a row, an ack, or a scan error.
 // Seed corpus: f.Add cases below plus testdata/fuzz/FuzzScanRows.
 func FuzzScanRows(f *testing.F) {
 	f.Add([]byte(`{"name":"a","ok":true,"elapsed_ms":1.5,"worker":3}` + "\n"))
@@ -27,15 +30,14 @@ func FuzzScanRows(f *testing.F) {
 	f.Add([]byte(strings.Repeat("{\"name\":\"r\"}\n", 64))) // many rows
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows := 0
-		err := scanRows(bytes.NewReader(data), func(jr bench.JobReport) bool {
-			rows++
-			return true
-		})
-		if err == nil && rows == 0 && len(bytes.TrimSpace(data)) > 0 {
-			// Every non-blank line must either decode into a row or
-			// stop the scan with an error; swallowing peer bytes
-			// silently would let a dying peer's suite "succeed" short.
+		rows, acks := 0, 0
+		err := scanAckRows(bytes.NewReader(data),
+			func(bench.JobReport) bool { rows++; return true },
+			func(ackRow) bool { acks++; return true })
+		if err == nil && rows == 0 && acks == 0 && len(bytes.TrimSpace(data)) > 0 {
+			// Every non-blank line must either decode or stop the scan
+			// with an error; swallowing peer bytes silently would let a
+			// dying peer's suite "succeed" short.
 			t.Fatalf("input %.80q produced neither rows nor an error", data)
 		}
 		if err != nil && len(bytes.TrimSpace(data)) == 0 {
@@ -44,10 +46,9 @@ func FuzzScanRows(f *testing.F) {
 
 		// The early-stop path must never error: the first row decided.
 		stopped := 0
-		if stopErr := scanRows(bytes.NewReader(data), func(bench.JobReport) bool {
-			stopped++
-			return false
-		}); stopped > 0 && stopErr != nil {
+		if stopErr := scanAckRows(bytes.NewReader(data),
+			func(bench.JobReport) bool { stopped++; return false },
+			func(ackRow) bool { return true }); stopped > 0 && stopErr != nil {
 			t.Fatalf("satisfied scan still errored: %v", stopErr)
 		}
 		if stopped > 1 {

@@ -1,9 +1,10 @@
 // Package remote is the multi-machine backend of the evaluation stack:
 // an engine.Evaluator whose "worker pool" is another art9-serve instance
 // reached over HTTP. It speaks the existing /v1 protocol — single jobs
-// through POST /v1/eval, batches through POST /v1/suite consuming the
-// NDJSON rows the moment the peer flushes them — so any running
-// art9-serve is already a valid shard.
+// through POST /v1/eval, batches through the acknowledged
+// POST /v1/suite?ack=1 stream consuming the NDJSON rows the moment the
+// peer flushes them — so any running art9-serve is already a valid
+// shard.
 //
 // Because a Client is just an Evaluator, it composes with everything
 // else behind that interface: engine.NewBalancer(opts, localEngine,
@@ -169,11 +170,6 @@ func (c *Client) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, e
 	return out, ctx.Err()
 }
 
-// RunAll is Run under the engine's historical batch name.
-func (c *Client) RunAll(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
-	return c.Run(ctx, jobs)
-}
-
 // Stream ships the batch to the peer and yields each job's result the
 // moment its NDJSON row arrives — the peer emits rows in its own
 // completion order, so the channel preserves the same contract as
@@ -300,7 +296,9 @@ type evalRequest struct {
 
 // dispatch resolves every job exactly once through emit(jobIndex,
 // result): invalid jobs inline, one valid job via /v1/eval, larger
-// batches via /v1/suite.
+// batches as acknowledged /v1/suite chunks posted concurrently. A chunk
+// that fails resolves only its unacknowledged jobs, with the chunk's
+// classified error.
 func (c *Client) dispatch(ctx context.Context, jobs []engine.Job, emit func(int, engine.Result)) {
 	c.submitted.Add(uint64(len(jobs)))
 	if c.closed.Load() {
@@ -310,9 +308,41 @@ func (c *Client) dispatch(ctx context.Context, jobs []engine.Job, emit func(int,
 		}
 		return
 	}
+	specs, valid := c.specsOf(jobs, emit)
+	if len(valid) == 1 {
+		i := valid[0]
+		emit(i, c.evalOne(ctx, jobs[i], specs[i]))
+		return
+	}
+	acked := make([]bool, len(jobs))
+	ack := func(i int, r engine.Result) {
+		acked[i] = true
+		emit(i, r)
+	}
+	var wg sync.WaitGroup
+	for _, ch := range wireChunks(jobs, specs, valid) {
+		wg.Add(1)
+		go func(ch wireChunk) {
+			defer wg.Done()
+			err := c.ackPost(ctx, ch, jobs, ack)
+			if err == nil {
+				return
+			}
+			for _, e := range ch.entries {
+				if i := e.pj.index; !acked[i] {
+					c.countFailure(err)
+					emit(i, engine.Result{ID: jobs[i].ID, Err: err, Worker: -1})
+				}
+			}
+		}(ch)
+	}
+	wg.Wait()
+}
 
-	var valid []int
-	specs := make([]*bench.JobSpec, len(jobs))
+// specsOf extracts every job's spec. A job without one fails through
+// emit at once — it cannot travel at all — and is left out of valid.
+func (c *Client) specsOf(jobs []engine.Job, emit func(int, engine.Result)) (specs []*bench.JobSpec, valid []int) {
+	specs = make([]*bench.JobSpec, len(jobs))
 	for i, j := range jobs {
 		spec, err := specOf(j)
 		if err != nil {
@@ -323,14 +353,7 @@ func (c *Client) dispatch(ctx context.Context, jobs []engine.Job, emit func(int,
 		specs[i] = spec
 		valid = append(valid, i)
 	}
-	switch len(valid) {
-	case 0:
-	case 1:
-		i := valid[0]
-		emit(i, c.evalOne(ctx, jobs[i], specs[i]))
-	default:
-		c.suite(ctx, jobs, specs, valid, emit)
-	}
+	return specs, valid
 }
 
 // specOf extracts the serializable description of one job.
@@ -382,36 +405,6 @@ func (c *Client) evalOne(ctx context.Context, j engine.Job, spec *bench.JobSpec)
 	return c.rowResult(j.ID, &jr)
 }
 
-// suite runs a multi-job batch through POST /v1/suite. Jobs are grouped
-// by their technology list first — one request per distinct list, run
-// concurrently — so no job is ever evaluated against technologies it
-// did not ask for (in practice a batch comes from one manifest and
-// forms a single group).
-func (c *Client) suite(ctx context.Context, jobs []engine.Job, specs []*bench.JobSpec, valid []int, emit func(int, engine.Result)) {
-	groups := map[string][]int{}
-	var order []string
-	for _, i := range valid {
-		key := strings.Join(specs[i].Technologies, "\x00")
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	if len(order) == 1 {
-		c.suiteGroup(ctx, jobs, specs, valid, emit)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, key := range order {
-		wg.Add(1)
-		go func(idx []int) {
-			defer wg.Done()
-			c.suiteGroup(ctx, jobs, specs, idx, emit)
-		}(groups[key])
-	}
-	wg.Wait()
-}
-
 // pendingJob tracks one not-yet-resolved suite job: its index in the
 // batch and its original (pre-deduplication) name.
 type pendingJob struct {
@@ -425,25 +418,35 @@ type wireEntry struct {
 	pj pendingJob
 }
 
-// suiteGroup ships jobs sharing a technology list, chunked so no single
-// request exceeds the peer's per-request job or body caps; chunks run
-// concurrently.
-func (c *Client) suiteGroup(ctx context.Context, jobs []engine.Job, specs []*bench.JobSpec, idx []int, emit func(int, engine.Result)) {
-	techs := specs[idx[0]].Technologies
-	chunks := buildWireChunks(jobs, specs, idx)
-	if len(chunks) == 1 {
-		c.suitePost(ctx, techs, chunks[0], jobs, emit)
-		return
+// wireChunk is the body of one POST /v1/suite?ack=1: jobs sharing a
+// technology list, within the peer's per-request caps.
+type wireChunk struct {
+	techs   []string
+	entries []wireEntry
+}
+
+// wireChunks groups the jobs at valid by technology list — one request
+// per distinct list, so no job is ever evaluated against technologies
+// it did not ask for (in practice a batch comes from one manifest and
+// forms a single group) — and splits each group with buildWireChunks.
+func wireChunks(jobs []engine.Job, specs []*bench.JobSpec, valid []int) []wireChunk {
+	groups := map[string][]int{}
+	var order []string
+	for _, i := range valid {
+		key := strings.Join(specs[i].Technologies, "\x00")
+		if _, ok := groups[key]; !ok {
+			order = append(order, key)
+		}
+		groups[key] = append(groups[key], i)
 	}
-	var wg sync.WaitGroup
-	for _, ch := range chunks {
-		wg.Add(1)
-		go func(ch []wireEntry) {
-			defer wg.Done()
-			c.suitePost(ctx, techs, ch, jobs, emit)
-		}(ch)
+	var out []wireChunk
+	for _, key := range order {
+		idx := groups[key]
+		for _, entries := range buildWireChunks(jobs, specs, idx) {
+			out = append(out, wireChunk{techs: specs[idx[0]].Technologies, entries: entries})
+		}
 	}
-	wg.Wait()
+	return out
 }
 
 // buildWireChunks renders the jobs at idx as manifest entries and
@@ -477,56 +480,6 @@ func buildWireChunks(jobs []engine.Job, specs []*bench.JobSpec, idx []int) [][]w
 	return append(chunks, cur)
 }
 
-// suitePost issues one POST /v1/suite for a chunk, resolving each job
-// as its NDJSON row arrives.
-func (c *Client) suitePost(ctx context.Context, techs []string, entries []wireEntry, jobs []engine.Job, emit func(int, engine.Result)) {
-	m := bench.Manifest{Technologies: techs}
-	pending := make(map[string]pendingJob, len(entries))
-	for _, e := range entries {
-		m.Jobs = append(m.Jobs, e.mj)
-		pending[e.mj.Name] = e.pj
-	}
-	body, err := json.Marshal(&m)
-	if err != nil {
-		c.fail(jobs, pending, emit, fmt.Errorf("remote %s: encode manifest: %w", c.base, err))
-		return
-	}
-
-	resp, err := c.post(ctx, "/v1/suite", body)
-	if err != nil {
-		c.fail(jobs, pending, emit, c.classify(ctx, err))
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		c.fail(jobs, pending, emit, c.statusErr(resp))
-		return
-	}
-
-	streamErr := scanRows(resp.Body, func(jr bench.JobReport) bool {
-		p, ok := pending[jr.Name]
-		if !ok {
-			// A row for a job we never sent (or already resolved):
-			// ignore it rather than mis-crediting some other job.
-			return true
-		}
-		delete(pending, jr.Name)
-		row := jr
-		row.Name = p.name // undo any wire-level "#n" deduplication
-		emit(p.index, c.rowResult(jobs[p.index].ID, &row))
-		return len(pending) > 0
-	})
-	if streamErr != nil {
-		streamErr = fmt.Errorf("remote %s: suite stream: %w", c.base, streamErr)
-	}
-	if len(pending) > 0 {
-		if streamErr == nil {
-			streamErr = fmt.Errorf("remote %s: suite stream ended with jobs unresolved", c.base)
-		}
-		c.fail(jobs, pending, emit, c.classify(ctx, streamErr))
-	}
-}
-
 // DispatchChunk implements engine.ChunkDispatcher: the chunk travels
 // over the acknowledged /v1/suite stream variant (?ack=1) — one request
 // per distinct technology list, split further only if the chunk
@@ -545,71 +498,41 @@ func (c *Client) DispatchChunk(ctx context.Context, jobs []engine.Job, ack func(
 	}
 	acked := make([]bool, len(jobs))
 	wrap := func(i int, r engine.Result) {
-		if i >= 0 && i < len(jobs) && !acked[i] {
-			acked[i] = true
-			ack(i, r)
-		}
+		acked[i] = true
+		ack(i, r)
 	}
-	var valid []int
-	specs := make([]*bench.JobSpec, len(jobs))
-	for i, j := range jobs {
-		spec, err := specOf(j)
-		if err != nil {
-			// Spec-less jobs cannot travel at all: acknowledge the
-			// job-level failure inline so the balancer does not re-try
-			// a job that can never reach a peer.
-			c.failed.Add(1)
-			wrap(i, engine.Result{ID: j.ID, Err: err, Worker: -1})
-			continue
-		}
-		specs[i] = spec
-		valid = append(valid, i)
-	}
-	groups := map[string][]int{}
-	var order []string
-	for _, i := range valid {
-		key := strings.Join(specs[i].Technologies, "\x00")
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	// Groups run sequentially: one chunk is one dispatch decision, and
+	// Spec-less jobs are acknowledged with their job-level failure inline
+	// so the balancer does not re-try a job that can never reach a peer.
+	specs, valid := c.specsOf(jobs, wrap)
+	// Chunks run sequentially: one chunk is one dispatch decision, and
 	// concurrency across chunks belongs to the balancer placing them.
-	var chunkErr error
-	for _, key := range order {
-		idx := groups[key]
-		techs := specs[idx[0]].Technologies
-		for _, entries := range buildWireChunks(jobs, specs, idx) {
-			if chunkErr = c.ackPost(ctx, techs, entries, jobs, wrap); chunkErr != nil {
-				break
+	for _, ch := range wireChunks(jobs, specs, valid) {
+		if err := c.ackPost(ctx, ch, jobs, wrap); err != nil {
+			// Book the jobs this client never resolved so LocalStats
+			// stays balanced; their verdicts belong to whichever backend
+			// re-runs them.
+			for i := range jobs {
+				if !acked[i] {
+					c.countFailure(err)
+				}
 			}
-		}
-		if chunkErr != nil {
-			break
+			return err
 		}
 	}
-	if chunkErr != nil {
-		// Book the jobs this client never resolved so LocalStats stays
-		// balanced; their verdicts belong to whichever backend re-runs
-		// them.
-		for i := range jobs {
-			if !acked[i] {
-				c.countFailure(chunkErr)
-			}
-		}
-	}
-	return chunkErr
+	return nil
 }
 
 // ackPost ships one wire chunk through POST /v1/suite?ack=1, resolving
 // each job as its row arrives and watching for the peer's end
 // acknowledgement — the marker that distinguishes a complete stream
-// from a severed one.
-func (c *Client) ackPost(ctx context.Context, techs []string, entries []wireEntry, jobs []engine.Job, ack func(int, engine.Result)) error {
-	m := bench.Manifest{Technologies: techs}
-	pending := make(map[string]pendingJob, len(entries))
-	for _, e := range entries {
+// from a severed one. A peer that sends every row but no
+// acknowledgements (one predating the ?ack=1 variant) still resolves
+// cleanly: nothing is left pending. On a returned error the
+// unacknowledged jobs are left to the caller.
+func (c *Client) ackPost(ctx context.Context, ch wireChunk, jobs []engine.Job, ack func(int, engine.Result)) error {
+	m := bench.Manifest{Technologies: ch.techs}
+	pending := make(map[string]pendingJob, len(ch.entries))
+	for _, e := range ch.entries {
 		m.Jobs = append(m.Jobs, e.mj)
 		pending[e.mj.Name] = e.pj
 	}
@@ -683,8 +606,9 @@ type ackRow struct {
 // returning false stops the scan cleanly. The row kind is detected by
 // the "ack" field, which a JobReport never carries. Blank lines are
 // skipped; a malformed or over-long line stops the scan with an error.
-// Like scanRows this is the one parser of its stream, extracted so it
-// can be fuzzed directly against arbitrary peer bytes.
+// This is the client's one /v1/suite row parser (a plain stream is one
+// without ack rows), extracted so it can be fuzzed directly against
+// arbitrary peer bytes.
 func scanAckRows(r io.Reader, onRow func(bench.JobReport) bool, onAck func(ackRow) bool) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxRow)
@@ -755,31 +679,6 @@ func (c *Client) Capacity(ctx context.Context) (engine.Capacity, error) {
 	return snap, nil
 }
 
-// scanRows consumes an NDJSON report stream, calling fn for each
-// decoded row until fn returns false (the caller is satisfied) or the
-// input ends. Blank lines are skipped; a malformed row or an over-long
-// line (> maxRow) stops the scan with an error. This is the one row
-// parser of the client, extracted so it can be fuzzed directly against
-// arbitrary peer bytes.
-func scanRows(r io.Reader, fn func(bench.JobReport) bool) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxRow)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var jr bench.JobReport
-		if err := json.Unmarshal(line, &jr); err != nil {
-			return fmt.Errorf("malformed NDJSON row %.80q: %w", line, err)
-		}
-		if !fn(jr) {
-			return nil
-		}
-	}
-	return sc.Err()
-}
-
 // wireJobOf renders one job as the manifest entry shipped to the peer:
 // the spec's entry, defaulting the name to the job ID and forwarding an
 // engine-level per-job timeout the spec did not already carry.
@@ -823,14 +722,6 @@ func (c *Client) rowResult(id string, jr *bench.JobReport) engine.Result {
 		r.Err = fmt.Errorf("remote %s: job %q: %s", c.base, jr.Name, jr.Error)
 	}
 	return r
-}
-
-// fail resolves every still-pending job with err, counting each one.
-func (c *Client) fail(jobs []engine.Job, pending map[string]pendingJob, emit func(int, engine.Result), err error) {
-	for _, p := range pending {
-		c.countFailure(err)
-		emit(p.index, engine.Result{ID: jobs[p.index].ID, Err: err, Worker: -1})
-	}
 }
 
 // countFailure books one unresolved job as canceled (the caller's
@@ -1001,6 +892,9 @@ func ValidateFleetFlags(cfg BackendConfig) (warning string, err error) {
 func validateTopology(cfg BackendConfig, n optionNames) (warning string, err error) {
 	invalid := func(format string, args ...any) error {
 		return fmt.Errorf(format+": %w", append(args, engine.ErrInvalidOptions)...)
+	}
+	if cfg.Shards < 0 {
+		return "", invalid("%s must be >= 0 (got %d)", n.shards, cfg.Shards)
 	}
 	if cfg.Chunk < 0 {
 		return "", invalid("%s must be >= 0 (got %d)", n.chunk, cfg.Chunk)

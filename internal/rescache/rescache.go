@@ -11,7 +11,9 @@
 //
 // Two stores compose into the per-process tier:
 //
-//   - LRU — a bounded in-process store with byte and entry accounting.
+//   - LRU — a bounded in-process store with byte and entry accounting,
+//     built on Index, the recency index the engine's memoization caches
+//     share.
 //   - Tiered — local-first lookup over an LRU plus remote peers (the
 //     /v1/cache clients from internal/remote), with a singleflight
 //     guard so a thundering herd of identical misses turns into one
@@ -165,27 +167,109 @@ func KeyOf(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// entry is one resident LRU value; cost is its accounted size.
-type entry struct {
+// indexEntry is one resident Index value with its accounted cost.
+type indexEntry[V any] struct {
 	key  string
-	val  []byte
 	cost int64
+	val  V
 }
 
-// LRU is the bounded in-process store: a map over a recency list with
-// byte and entry accounting, safe for concurrent use.
-type LRU struct {
-	mu         sync.Mutex
+// Index is the bounded recency index under every LRU in the stack — the
+// result store here and the engine's memoization caches: a map over a
+// recency list with byte and entry accounting. It is not self-locking;
+// callers operate under their own mutex.
+type Index[V any] struct {
 	m          map[string]*list.Element
 	order      *list.List // front = most recently used
 	maxBytes   int64
 	maxEntries int
 	bytes      int64
+	evictions  uint64
+}
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	puts      atomic.Uint64
-	evictions atomic.Uint64
+// NewIndex builds an index bounded to maxBytes accounted bytes and
+// maxEntries entries; a bound <= 0 leaves that dimension unbounded.
+func NewIndex[V any](maxBytes int64, maxEntries int) *Index[V] {
+	return &Index[V]{
+		m:          make(map[string]*list.Element),
+		order:      list.New(),
+		maxBytes:   maxBytes,
+		maxEntries: maxEntries,
+	}
+}
+
+// Get returns the value for key, refreshing its recency.
+func (x *Index[V]) Get(key string) (V, bool) {
+	el, ok := x.m[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	x.order.MoveToFront(el)
+	return el.Value.(*indexEntry[V]).val, true
+}
+
+// Put stores v under key at the given cost, replacing any previous
+// value, then evicts from the cold end until the bounds hold again. The
+// entry just stored is never evicted, so a single oversized value still
+// stays resident.
+func (x *Index[V]) Put(key string, cost int64, v V) {
+	if el, ok := x.m[key]; ok {
+		e := el.Value.(*indexEntry[V])
+		x.bytes += cost - e.cost
+		e.val, e.cost = v, cost
+		x.order.MoveToFront(el)
+	} else {
+		x.m[key] = x.order.PushFront(&indexEntry[V]{key: key, cost: cost, val: v})
+		x.bytes += cost
+	}
+	for x.order.Len() > 1 && ((x.maxBytes > 0 && x.bytes > x.maxBytes) ||
+		(x.maxEntries > 0 && x.order.Len() > x.maxEntries)) {
+		x.remove(x.order.Back())
+		x.evictions++
+	}
+}
+
+// Delete removes key, if present. Evictions counts only entries dropped
+// to honour the bounds, not deliberate removals.
+func (x *Index[V]) Delete(key string) {
+	if el, ok := x.m[key]; ok {
+		x.remove(el)
+	}
+}
+
+func (x *Index[V]) remove(el *list.Element) {
+	e := x.order.Remove(el).(*indexEntry[V])
+	delete(x.m, e.key)
+	x.bytes -= e.cost
+}
+
+// Purge drops every entry; the eviction counter is kept.
+func (x *Index[V]) Purge() {
+	x.m = make(map[string]*list.Element)
+	x.order.Init()
+	x.bytes = 0
+}
+
+// Len is the number of resident entries.
+func (x *Index[V]) Len() int { return x.order.Len() }
+
+// Bytes is the accounted cost of the resident entries.
+func (x *Index[V]) Bytes() int64 { return x.bytes }
+
+// Evictions counts entries dropped to honour the bounds.
+func (x *Index[V]) Evictions() uint64 { return x.evictions }
+
+// LRU is the bounded in-process store: an Index of byte values with
+// lookup counters, safe for concurrent use.
+type LRU struct {
+	mu       sync.Mutex
+	idx      *Index[[]byte]
+	maxBytes int64
+
+	hits   atomic.Uint64
+	misses atomic.Uint64
+	puts   atomic.Uint64
 }
 
 // NewLRU builds a bounded store. maxBytes 0 selects DefaultMaxBytes
@@ -198,26 +282,18 @@ func NewLRU(maxBytes int64, maxEntries int) *LRU {
 	if maxEntries == 0 {
 		maxEntries = DefaultMaxEntries
 	}
-	return &LRU{
-		m:          make(map[string]*list.Element),
-		order:      list.New(),
-		maxBytes:   maxBytes,
-		maxEntries: maxEntries,
-	}
+	return &LRU{idx: NewIndex[[]byte](maxBytes, maxEntries), maxBytes: maxBytes}
 }
 
 // Get returns the cached value and refreshes its recency.
 func (c *LRU) Get(_ context.Context, key string) ([]byte, bool) {
 	c.mu.Lock()
-	el, ok := c.m[key]
+	val, ok := c.idx.Get(key)
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
 		c.misses.Add(1)
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	val := el.Value.(*entry).val
-	c.mu.Unlock()
 	c.hits.Add(1)
 	return val, true
 }
@@ -232,26 +308,7 @@ func (c *LRU) Put(_ context.Context, key string, val []byte) {
 		return
 	}
 	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
-		e := el.Value.(*entry)
-		c.bytes += cost - e.cost
-		e.val, e.cost = val, cost
-		c.order.MoveToFront(el)
-	} else {
-		c.m[key] = c.order.PushFront(&entry{key: key, val: val, cost: cost})
-		c.bytes += cost
-	}
-	for (c.maxBytes > 0 && c.bytes > c.maxBytes) ||
-		(c.maxEntries > 0 && c.order.Len() > c.maxEntries) {
-		el := c.order.Back()
-		if el == nil || c.order.Len() == 1 {
-			break // never evict the entry just stored
-		}
-		e := c.order.Remove(el).(*entry)
-		delete(c.m, e.key)
-		c.bytes -= e.cost
-		c.evictions.Add(1)
-	}
+	c.idx.Put(key, cost, val)
 	c.mu.Unlock()
 	c.puts.Add(1)
 }
@@ -261,24 +318,20 @@ func (c *LRU) Put(_ context.Context, key string, val []byte) {
 // not deliberate removals.
 func (c *LRU) Delete(_ context.Context, key string) {
 	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
-		e := c.order.Remove(el).(*entry)
-		delete(c.m, e.key)
-		c.bytes -= e.cost
-	}
+	c.idx.Delete(key)
 	c.mu.Unlock()
 }
 
 // Stats snapshots the store's counters.
 func (c *LRU) Stats() Stats {
 	c.mu.Lock()
-	entries, bytes := c.order.Len(), c.bytes
+	entries, bytes, evictions := c.idx.Len(), c.idx.Bytes(), c.idx.Evictions()
 	c.mu.Unlock()
 	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Puts:      c.puts.Load(),
-		Evictions: c.evictions.Load(),
+		Evictions: evictions,
 		Entries:   entries,
 		Bytes:     bytes,
 		MaxBytes:  c.maxBytes,

@@ -34,6 +34,9 @@ func TestNewRejectsInvalidOptionCombinations(t *testing.T) {
 		{name: "negative tuning still needs failover",
 			opts: []art9.Option{art9.WithMaxRetries(-1), art9.WithHealthInterval(-1)},
 			want: "WithFailover"},
+		{name: "negative shards",
+			opts: []art9.Option{art9.WithShards(-3)},
+			want: "WithShards must be >= 0"},
 		{name: "negative chunk",
 			opts: []art9.Option{art9.WithFailover(), art9.WithShards(2), art9.WithChunk(-1)},
 			want: "WithChunk must be >= 0"},
