@@ -36,11 +36,14 @@ bench:
 
 ## bench-gate: the packed-kernel benchmark regression gate — re-times every
 ## packed kernel against its trit-serial reference (fails below the 3×
-## aggregate floor, writes the ns/op table to BENCH_kernels.json) and takes
-## the end-to-end simulator throughput figures for the same artifact set
+## aggregate floor, writes the ns/op table to BENCH_kernels.json) — and the
+## timed-run ratio gate (a job's timed functional run must cost at most
+## 0.85× a Pipeline run on dhrystone), then takes the end-to-end simulator
+## throughput figures for the same artifact set
 bench-gate:
 	ART9_BENCH_GATE=1 ART9_BENCH_GATE_OUT=$(CURDIR)/BENCH_kernels.json \
 		$(GO) test -run TestPackedKernelSpeedupGate -v ./internal/ternary/
+	ART9_BENCH_GATE=1 $(GO) test -run TestTimedRunSpeedGate -v ./internal/bench/
 	$(GO) test -run=NONE -bench=BenchmarkSimulatorThroughput -benchtime=1s .
 
 ## batch: run the example manifest through the engine, emit BENCH_report.json

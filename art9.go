@@ -23,6 +23,7 @@
 package art9
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/asm"
@@ -96,26 +97,29 @@ type (
 	SimConfig = sim.Config
 )
 
-// Run executes a program on the cycle-accurate 5-stage pipelined core with
-// optional TDM initialisation, returning the final state and statistics.
-// An optional SimConfig sizes the machine (memory words, step budget);
-// omitted, the full 9-trit address space and default budget apply.
+// Run executes a program with optional TDM initialisation and reports the
+// timing of the cycle-accurate 5-stage pipelined core: cycles, stalls and
+// every other RunResult field are those of the pipeline of §IV-B, and the
+// step budget is charged in its cycles. It returns the final state and
+// statistics. An optional SimConfig sizes the machine (memory words, step
+// budget); omitted, the full 9-trit address space and default budget
+// apply.
 func Run(p *Program, data map[int]Word, cfg ...SimConfig) (*State, RunResult, error) {
 	c, err := oneConfig(cfg)
 	if err != nil {
 		return nil, RunResult{}, err
 	}
-	pl := sim.NewPipeline(c)
-	if err := pl.S.Load(p); err != nil {
+	fn := sim.NewFunctional(c)
+	if err := fn.S.Load(p); err != nil {
 		return nil, RunResult{}, err
 	}
 	if data != nil {
-		if err := pl.S.TDM.SetAll(data); err != nil {
+		if err := fn.S.TDM.SetAll(data); err != nil {
 			return nil, RunResult{}, err
 		}
 	}
-	res, err := pl.Run()
-	return pl.S, res, err
+	res, err := fn.RunTimed(context.TODO())
+	return fn.S, res, err
 }
 
 // RunFunctional executes a program on the single-cycle reference core,

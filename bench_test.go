@@ -9,6 +9,7 @@
 package art9_test
 
 import (
+	"context"
 	"testing"
 
 	art9 "repro"
@@ -271,6 +272,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.Run("run/functional", func(b *testing.B) {
 		f := sim.NewFunctional(sim.Config{})
 		run(b, f.S, f.Run)
+	})
+	b.Run("run/timed", func(b *testing.B) {
+		f := sim.NewFunctional(sim.Config{})
+		run(b, f.S, func() (sim.Result, error) { return f.RunTimed(context.Background()) })
 	})
 }
 

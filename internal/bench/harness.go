@@ -65,21 +65,20 @@ func (o *Outcome) MemAccessRate() float64 {
 
 // Run executes the workload on the RV32 machine (feeding both baseline
 // cycle models), translates it with the software-level framework, runs
-// the result on the functional and pipelined ART-9 cores, verifies that
-// all checksums agree, and collects every metric.
+// the result on the ART-9 functional core with the 5-stage pipeline's
+// timing, verifies that the checksums agree, and collects every metric.
 func Run(w Workload, opts xlate.Options) (*Outcome, error) {
 	return RunCtx(context.Background(), w, opts)
 }
 
-// RunCtx is Run with stage-granular cancellation: the context is checked
-// before each expensive stage (every machine run and the translation),
-// so an expired engine job timeout or a cancelled batch stops the
-// workload at the next stage boundary. The simulators themselves run to
-// completion once started — each is bounded by its step budget.
+// RunCtx is Run under ctx: the RV32 reference run and the ART-9 run poll
+// the context from their first instruction and every few thousand after
+// it, so an expired engine job timeout or a cancelled batch stops the
+// workload within microseconds.
 func RunCtx(ctx context.Context, w Workload, opts xlate.Options) (*Outcome, error) {
 	st := machines.Get().(*sim.State)
 	defer machines.Put(st)
-	return runOn(ctx, w, opts, st, st)
+	return runOn(ctx, w, opts, st)
 }
 
 // machines recycles simulator States across jobs, so at most one State is
@@ -87,9 +86,10 @@ func RunCtx(ctx context.Context, w Workload, opts xlate.Options) (*Outcome, erro
 // its predecoded instruction image.
 var machines = sync.Pool{New: func() any { return sim.NewState(sim.Config{}) }}
 
-// runOn is RunCtx with the functional core running on fs and then the
-// pipeline on ps. One State may serve both, since Load resets it.
-func runOn(ctx context.Context, w Workload, opts xlate.Options, fs, ps *sim.State) (*Outcome, error) {
+// runOn is RunCtx with the ART-9 program running on st. Its one timed
+// functional run reports what the pipelined core would; the differential
+// tests in internal/sim pin the two cores together.
+func runOn(ctx context.Context, w Workload, opts xlate.Options, st *sim.State) (*Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("bench %s: %w", w.Name, err)
 	}
@@ -106,10 +106,7 @@ func runOn(ctx context.Context, w Workload, opts xlate.Options, fs, ps *sim.Stat
 	if err := m.Load(rvProg); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("bench %s: %w", w.Name, err)
-	}
-	if err := m.Run(); err != nil {
+	if err := m.RunCtx(ctx); err != nil {
 		return nil, fmt.Errorf("bench %s: rv32 run: %w", w.Name, err)
 	}
 	ref := int(int32(m.Reg(10)))
@@ -122,49 +119,22 @@ func runOn(ctx context.Context, w Workload, opts xlate.Options, fs, ps *sim.Stat
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: art9 assemble: %w", w.Name, err)
 	}
-	data := xlate.DataImage(rvProg)
-
-	load := func(s *sim.State) error {
-		if err := s.Load(artProg); err != nil {
-			return err
-		}
-		if err := s.TDM.SetAll(data); err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("bench %s: %w", w.Name, err)
-		}
-		return nil
-	}
-	check := func(core string, s *sim.State) error {
-		chk, err := out.ReadBack(s, 10)
-		if err != nil {
-			return err
-		}
-		if chk != ref {
-			return fmt.Errorf("bench %s: %s checksum %d != rv32 %d", w.Name, core, chk, ref)
-		}
-		return nil
-	}
-
-	if err := load(fs); err != nil {
+	if err := st.Load(artProg); err != nil {
 		return nil, err
 	}
-	if _, err := (&sim.Functional{S: fs}).Run(); err != nil {
-		return nil, fmt.Errorf("bench %s: art9 functional: %w", w.Name, err)
-	}
-	if err := check("functional", fs); err != nil {
+	if err := st.TDM.SetAll(xlate.DataImage(rvProg)); err != nil {
 		return nil, err
 	}
-	if err := load(ps); err != nil {
-		return nil, err
-	}
-	pres, err := (&sim.Pipeline{S: ps}).Run()
+	res, err := (&sim.Functional{S: st}).RunTimed(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("bench %s: art9 pipeline: %w", w.Name, err)
+		return nil, fmt.Errorf("bench %s: art9 run: %w", w.Name, err)
 	}
-	if err := check("pipelined", ps); err != nil {
+	chk, err := out.ReadBack(st, 10)
+	if err != nil {
 		return nil, err
+	}
+	if chk != ref {
+		return nil, fmt.Errorf("bench %s: art9 checksum %d != rv32 %d", w.Name, chk, ref)
 	}
 
 	return &Outcome{
@@ -175,14 +145,14 @@ func runOn(ctx context.Context, w Workload, opts xlate.Options, fs, ps *sim.Stat
 		ARTInsts:        len(artProg.Text),
 		ARTTrits:        artProg.TextCells(),
 		Checksum:        ref,
-		ART9Cycles:      pres.Cycles,
+		ART9Cycles:      res.Cycles,
 		VexCycles:       vex.TotalCycles(),
 		PicoCycles:      pico.TotalCycles(),
-		ARTRetired:      pres.Retired,
-		ARTStallsLoad:   pres.StallsLoad,
-		ARTStallsBranch: pres.StallsBranch,
-		ARTLoads:        pres.Loads,
-		ARTStores:       pres.Stores,
+		ARTRetired:      res.Retired,
+		ARTStallsLoad:   res.StallsLoad,
+		ARTStallsBranch: res.StallsBranch,
+		ARTLoads:        res.Loads,
+		ARTStores:       res.Stores,
 		RVRetired:       m.Retired,
 		Diagnostics:     out.Diagnostics,
 		Removed:         out.Removed,
@@ -237,7 +207,7 @@ func RunAllOn(ctx context.Context, eng *engine.Engine) (map[string]*Outcome, err
 
 // SuiteJobs wraps workloads as engine jobs, one per workload; each job
 // itself exercises every core model (RV32 reference with both baseline
-// cycle observers, then the functional and pipelined ART-9 cores).
+// cycle observers, then the ART-9 core with the pipeline's timing).
 //
 // Each job also carries a *JobSpec with the workload inlined as source
 // text, so remote backends (internal/remote) can ship the exact same

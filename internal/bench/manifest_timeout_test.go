@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -39,5 +41,23 @@ func TestManifestTimeoutRidesTheJobs(t *testing.T) {
 	if jobs[1].Timeout != 0 || jobs[1].Spec.(*JobSpec).Job.TimeoutMS != 0 {
 		t.Errorf("unbounded job gained a timeout: %v / %d",
 			jobs[1].Timeout, jobs[1].Spec.(*JobSpec).Job.TimeoutMS)
+	}
+}
+
+// TestRunCtxStopsSpinningJobAtDeadline runs an RV32 spin loop, which
+// exhausts no budget for seconds, under a 100 ms deadline: the simulators
+// poll the context, so the job ends at the deadline rather than at the
+// step budget.
+func TestRunCtxStopsSpinningJobAtDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	spin := Workload{Name: "spin", Source: "li a0, 0\nspin: addi a0, a0, 1\nj spin", Iterations: 1}
+	start := time.Now()
+	_, err := RunCtx(ctx, spin, xlate.Options{})
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("spinning job returned after %v, want under 2s", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("error = %v, want one wrapping context.DeadlineExceeded", err)
 	}
 }

@@ -96,20 +96,20 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 	slices.Reverse(order[len(ws):])
 	shared := sim.NewState(sim.Config{})
 	for _, w := range order {
-		fs, ps := sim.NewState(sim.Config{}), sim.NewState(sim.Config{})
-		want, err := runOn(ctx, w, xlate.Options{}, fs, ps)
+		fresh := sim.NewState(sim.Config{})
+		want, err := runOn(ctx, w, xlate.Options{}, fresh)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", w.Name, err)
 		}
-		got, err := runOn(ctx, w, xlate.Options{}, shared, shared)
+		got, err := runOn(ctx, w, xlate.Options{}, shared)
 		if err != nil {
 			t.Fatalf("%s reused: %v", w.Name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: reused Outcome %+v, fresh %+v", w.Name, got, want)
 		}
-		if !reflect.DeepEqual(snapshot(sim.Result{}, shared), snapshot(sim.Result{}, ps)) {
-			t.Errorf("%s: reused machine's final pipeline state differs from a fresh one", w.Name)
+		if !reflect.DeepEqual(snapshot(sim.Result{}, shared), snapshot(sim.Result{}, fresh)) {
+			t.Errorf("%s: reused machine's final state differs from a fresh one", w.Name)
 		}
 
 		prog, data := compileART9(t, w)
@@ -134,7 +134,7 @@ func TestMachineReuseAcrossWorkers(t *testing.T) {
 	ws := reuseWorkloads()
 	want := map[string]*Outcome{}
 	for _, w := range ws {
-		o, err := runOn(ctx, w, xlate.Options{}, sim.NewState(sim.Config{}), sim.NewState(sim.Config{}))
+		o, err := runOn(ctx, w, xlate.Options{}, sim.NewState(sim.Config{}))
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/asm"
@@ -84,25 +85,26 @@ type Evaluation struct {
 	Impl     perf.Implementation
 }
 
-// Evaluate runs the assembled program on the pipelined ART-9 core, then
-// feeds the cycle count and the gate-level analysis into the performance
-// estimator. iterations scales the Dhrystone-style per-iteration metrics
-// (pass 1 for plain programs).
+// Evaluate runs the assembled program with the 5-stage pipelined ART-9
+// core's timing (sim.Functional.RunTimed), then feeds the cycle count and
+// the gate-level analysis into the performance estimator. iterations
+// scales the Dhrystone-style per-iteration metrics (pass 1 for plain
+// programs).
 func (f *HardwareFramework) Evaluate(p *asm.Program, data map[int]ternary.Word, iterations int) (*Evaluation, error) {
 	tech := f.Tech
 	if tech == nil {
 		tech = gate.CNTFET32()
 	}
-	pl := sim.NewPipeline(f.Config)
-	if err := pl.S.Load(p); err != nil {
+	fn := sim.NewFunctional(f.Config)
+	if err := fn.S.Load(p); err != nil {
 		return nil, err
 	}
 	if data != nil {
-		if err := pl.S.TDM.SetAll(data); err != nil {
+		if err := fn.S.TDM.SetAll(data); err != nil {
 			return nil, err
 		}
 	}
-	res, err := pl.Run()
+	res, err := fn.RunTimed(context.TODO())
 	if err != nil {
 		return nil, fmt.Errorf("core: cycle-accurate simulation: %w", err)
 	}

@@ -1,6 +1,9 @@
 package rv32
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Machine is an instruction-accurate RV32IM simulator with a Harvard
 // layout: text indexed by PC/4, a byte-addressed data RAM from address 0.
@@ -274,14 +277,27 @@ func (m *Machine) notify(in Inst, taken bool, shamt uint32) {
 }
 
 // Run executes until halt.
-func (m *Machine) Run() error {
-	for steps := 0; steps < m.MaxSteps; steps++ {
-		done, err := m.Step()
-		if err != nil {
-			return err
+func (m *Machine) Run() error { return m.RunCtx(context.Background()) }
+
+// pollEvery is the number of steps RunCtx takes between checks of its
+// context.
+const pollEvery = 4096
+
+// RunCtx is Run under ctx: it polls the context every pollEvery steps and
+// returns an error wrapping ctx.Err() once the context is done.
+func (m *Machine) RunCtx(ctx context.Context) error {
+	for steps := 0; steps < m.MaxSteps; {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("rv32: at PC %#x: %w", m.PC, err)
 		}
-		if done {
-			return nil
+		for end := min(steps+pollEvery, m.MaxSteps); steps < end; steps++ {
+			done, err := m.Step()
+			if err != nil {
+				return err
+			}
+			if done {
+				return nil
+			}
 		}
 	}
 	return fmt.Errorf("rv32: no halt within %d steps", m.MaxSteps)

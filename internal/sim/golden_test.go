@@ -7,21 +7,24 @@ import (
 	"repro/internal/asm"
 )
 
+// goldenScheduleSrc exercises both stall sources of the pipeline.
+const goldenScheduleSrc = `
+	LDI T1, 40       ; LUI + LI (2 words)
+	STORE T1, T0, 5
+	LOAD T2, T0, 5   ; load...
+	ADD T2, T2       ; ...use → 1 stall
+	BEQ T2, 0, skip  ; LST(80)... 80 = 10T01: LST=1 → not taken
+	ADDI T3, 1
+	skip:	JAL T4, end      ; taken → 1 squash
+	ADDI T3, 1       ; skipped
+	end:	HALT
+`
+
 // TestGoldenPipelineSchedule pins the exact cycle-by-cycle behaviour of
 // the §IV-B pipeline on a program exercising both stall sources. If the
 // microarchitecture changes, this fails loudly with the full schedule.
 func TestGoldenPipelineSchedule(t *testing.T) {
-	p, err := asm.Assemble(`
-		LDI T1, 40       ; LUI + LI (2 words)
-		STORE T1, T0, 5
-		LOAD T2, T0, 5   ; load...
-		ADD T2, T2       ; ...use → 1 stall
-		BEQ T2, 0, skip  ; LST(80)... 80 = 10T01: LST=1 → not taken
-		ADDI T3, 1
-	skip:	JAL T4, end      ; taken → 1 squash
-		ADDI T3, 1       ; skipped
-	end:	HALT
-	`)
+	p, err := asm.Assemble(goldenScheduleSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

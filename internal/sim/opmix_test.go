@@ -42,36 +42,38 @@ func TestOpMix(t *testing.T) {
 	}
 }
 
+// opMixPrograms are the golden programs of the op-mix checks.
+var opMixPrograms = map[string]string{
+	"straightline": `
+		LDI T1, 7
+		ADD T1, T1
+		HALT
+	`,
+	"loop": `
+		LDI T1, 0
+		LDI T2, 1
+		LDI T3, 5
+	loop:	ADD T1, T2
+		ADDI T2, 1
+		MV T4, T2
+		COMP T4, T3
+		BNE T4, 1, loop
+		HALT
+	`,
+	"memory": `
+		LDI T1, 40
+		STORE T1, T0, 3
+		LOAD T2, T0, 3
+		SUB T2, T1
+		HALT
+	`,
+}
+
 // TestOpMixSumsToOneOnGoldenPrograms asserts ΣOpMix == 1 and
 // ΣByOp == ΣByCategory == Retired on a spread of programs, on both cores —
 // the regression guard for the halt-retirement metric skew.
 func TestOpMixSumsToOneOnGoldenPrograms(t *testing.T) {
-	programs := map[string]string{
-		"straightline": `
-			LDI T1, 7
-			ADD T1, T1
-			HALT
-		`,
-		"loop": `
-			LDI T1, 0
-			LDI T2, 1
-			LDI T3, 5
-		loop:	ADD T1, T2
-			ADDI T2, 1
-			MV T4, T2
-			COMP T4, T3
-			BNE T4, 1, loop
-			HALT
-		`,
-		"memory": `
-			LDI T1, 40
-			STORE T1, T0, 3
-			LOAD T2, T0, 3
-			SUB T2, T1
-			HALT
-		`,
-	}
-	for name, src := range programs {
+	for name, src := range opMixPrograms {
 		for core, run := range map[string]func(*testing.T, string) (*State, Result){
 			"functional": func(t *testing.T, s string) (*State, Result) {
 				f, r := runFunc(t, s)

@@ -20,7 +20,8 @@ func allWords() []ternary.Word {
 
 // checkSlot compares a predecoded slot with the on-the-fly decode of word w
 // fetched from TIM index addr: DecodePacked plus PackedFromInt, Inc and Add
-// exactly as a step would compute them.
+// exactly as a step would compute them, and the registers the pipeline's
+// hazard unit treats as read.
 func checkSlot(t *testing.T, got slot, w ternary.Word, addr int) {
 	t.Helper()
 	q := ternary.Pack(w)
@@ -40,6 +41,11 @@ func checkSlot(t *testing.T, got slot, w ternary.Word, addr int) {
 	}
 	imm := ternary.PackedFromInt(in.Imm)
 	want := slot{word: q, ok: true, in: in, imm: imm, seq: pc.Inc(), target: pc.Add(imm)}
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		if (in.Op.ReadsTa() && in.Ta == r) || (in.Op.ReadsTb() && in.Tb == r) {
+			want.reads |= 1 << r
+		}
+	}
 	if got != want {
 		t.Fatalf("[%d] %v: slot = %+v, want %+v", addr, w, got, want)
 	}

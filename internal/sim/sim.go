@@ -12,6 +12,13 @@
 // Both consume the assembler's output and produce run results (cycle and
 // instruction counts, stall accounting, final architectural state) that
 // the performance estimator (internal/perf) turns into DMIPS figures.
+//
+// Because the Pipeline's stalls follow from the retired instruction
+// stream, Functional.RunTimed reports the Pipeline's Result in one
+// functional pass: cycles = retired + load-use stalls + taken non-halt
+// transfers + 4. The evaluation paths run RunTimed; the Pipeline remains
+// the cycle-by-cycle model behind art9-sim's trace and the oracle the
+// differential tests pin RunTimed to.
 package sim
 
 import (
@@ -113,6 +120,7 @@ type slot struct {
 	imm    ternary.Packed // in.Imm in packed form
 	seq    ternary.Packed // the word's address plus one
 	target ternary.Packed // address plus imm: the BEQ/BNE/JAL destination
+	reads  uint16         // bit r set when the instruction reads TRF[r]
 }
 
 // decodeAt decodes the word w fetched from address pc.
@@ -122,7 +130,14 @@ func decodeAt(w, pc ternary.Packed) (slot, error) {
 		return slot{word: w}, err
 	}
 	imm := ternary.PackedFromInt(in.Imm)
-	return slot{word: w, ok: true, in: in, imm: imm, seq: pc.Inc(), target: pc.Add(imm)}, nil
+	var reads uint16
+	if in.Op.ReadsTa() {
+		reads |= 1 << in.Ta
+	}
+	if in.Op.ReadsTb() {
+		reads |= 1 << in.Tb
+	}
+	return slot{word: w, ok: true, in: in, imm: imm, seq: pc.Inc(), target: pc.Add(imm), reads: reads}, nil
 }
 
 // predecode brings the image up to date with TIM[0:imageLen]. A slot is

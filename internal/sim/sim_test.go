@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -344,6 +347,30 @@ func TestFunctionalNoHaltError(t *testing.T) {
 	}
 }
 
+// TestRunTimedStopsOnDeadline runs a loop that never halts under a 50 ms
+// deadline; the default budget would take seconds to exhaust. RunTimed
+// polls the context and stops at the deadline.
+func TestRunTimedStopsOnDeadline(t *testing.T) {
+	p, err := asm.Assemble("loop: ADDI T1, 1\nJAL T0, loop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFunctional(Config{})
+	if err := f.S.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = f.RunTimed(ctx)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("RunTimed returned after %v, want under 2s", elapsed)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("error = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+}
+
 func TestFunctionalIllegalInstruction(t *testing.T) {
 	f := NewFunctional(Config{})
 	// Plant an illegal word (bad R minor) at PC 0.
@@ -367,49 +394,70 @@ func TestFunctionalWrapArithmetic(t *testing.T) {
 	}
 }
 
-// buildRandomProgram emits a random but always-terminating program:
-// forward-only control flow over ALU, memory and branch instructions.
+// buildRandomProgram emits a random but always-terminating program of n
+// lines over all 24 opcodes: forward-only control flow (BEQ, BNE, JAL,
+// and JALR through an LDA'd label), ALU and memory instructions, loads
+// feeding the next instruction in its Ta slot, its Tb slot or as a
+// STORE's data, and either halt idiom. Every line carries a label, so a
+// transfer reaches its target however many words the lines between
+// assemble to.
 func buildRandomProgram(rng *rand.Rand, n int) string {
 	var b strings.Builder
 	// Seed registers with random small values.
 	for r := 1; r < isa.NumRegs; r++ {
 		fmt.Fprintf(&b, "LDI T%d, %d\n", r, rng.Intn(2001)-1000)
 	}
-	lines := make([]string, n)
-	for i := range lines {
-		r1 := rng.Intn(8) + 1
-		r2 := rng.Intn(8) + 1
-		switch rng.Intn(12) {
-		case 0:
-			lines[i] = fmt.Sprintf("ADD T%d, T%d", r1, r2)
-		case 1:
-			lines[i] = fmt.Sprintf("SUB T%d, T%d", r1, r2)
-		case 2:
-			lines[i] = fmt.Sprintf("AND T%d, T%d", r1, r2)
-		case 3:
-			lines[i] = fmt.Sprintf("OR T%d, T%d", r1, r2)
-		case 4:
-			lines[i] = fmt.Sprintf("XOR T%d, T%d", r1, r2)
-		case 5:
-			lines[i] = fmt.Sprintf("ADDI T%d, %d", r1, rng.Intn(27)-13)
-		case 6:
-			lines[i] = fmt.Sprintf("COMP T%d, T%d", r1, r2)
-		case 7:
-			lines[i] = fmt.Sprintf("STORE T%d, T%d, %d", r1, r2, rng.Intn(27)-13)
-		case 8:
-			lines[i] = fmt.Sprintf("LOAD T%d, T%d, %d", r1, r2, rng.Intn(27)-13)
-		case 9:
-			// Forward conditional branch, always in range.
-			off := rng.Intn(min(13, n-i)) + 1
-			lines[i] = fmt.Sprintf("BNE T%d, %d, %d", r1, rng.Intn(3)-1, off)
-		case 10:
-			lines[i] = fmt.Sprintf("MV T%d, T%d", r1, r2)
-		case 11:
-			lines[i] = fmt.Sprintf("SLI T%d, %d", r1, rng.Intn(3))
+	imm := func(max int) int { return rng.Intn(2*max+1) - max }
+	for i := 0; i < n; i++ {
+		r1, r2, r3 := rng.Intn(8)+1, rng.Intn(8)+1, rng.Intn(8)+1
+		fwd := fmt.Sprintf("l%d", i+1+rng.Intn(min(10, n-i))) // at most 30 words ahead
+		fmt.Fprintf(&b, "l%d:\t", i)
+		switch op := rng.Intn(23); op {
+		case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11:
+			rr := []string{"MV", "PTI", "NTI", "STI", "AND", "OR", "XOR", "ADD", "SUB", "SR", "SL", "COMP"}
+			fmt.Fprintf(&b, "%s T%d, T%d", rr[op], r1, r2)
+		case 12:
+			fmt.Fprintf(&b, "ANDI T%d, %d", r1, imm(13))
+		case 13:
+			fmt.Fprintf(&b, "ADDI T%d, %d", r1, imm(13))
+		case 14:
+			fmt.Fprintf(&b, "SRI T%d, %d", r1, imm(4))
+		case 15:
+			fmt.Fprintf(&b, "SLI T%d, %d", r1, imm(4))
+		case 16:
+			fmt.Fprintf(&b, "LUI T%d, %d", r1, imm(40))
+		case 17:
+			fmt.Fprintf(&b, "LI T%d, %d", r1, imm(121))
+		case 18:
+			fmt.Fprintf(&b, "%s T%d, %d, %s", []string{"BEQ", "BNE"}[rng.Intn(2)], r1, rng.Intn(3)-1, fwd)
+		case 19:
+			fmt.Fprintf(&b, "JAL T%d, %s", r1, fwd)
+		case 20:
+			fmt.Fprintf(&b, "LDA T%d, %s\n\tJALR T%d, T%d, 0", r1, fwd, r2, r1)
+		case 21:
+			fmt.Fprintf(&b, "STORE T%d, T%d, %d", r1, r2, imm(13))
+		case 22:
+			// A LOAD, alone or feeding the next instruction's Ta slot,
+			// Tb slot or STORE data.
+			fmt.Fprintf(&b, "LOAD T%d, T%d, %d", r1, r2, imm(13))
+			switch rng.Intn(4) {
+			case 1:
+				fmt.Fprintf(&b, "\n\tADD T%d, T%d", r1, r3)
+			case 2:
+				fmt.Fprintf(&b, "\n\tSUB T%d, T%d", r3, r1)
+			case 3:
+				fmt.Fprintf(&b, "\n\tSTORE T%d, T%d, %d", r1, r3, imm(13))
+			}
 		}
+		b.WriteString("\n")
 	}
-	b.WriteString(strings.Join(lines, "\n"))
-	b.WriteString("\nHALT\n")
+	fmt.Fprintf(&b, "l%d:\t", n)
+	if rng.Intn(2) == 0 {
+		b.WriteString("HALT\n")
+	} else {
+		r1 := rng.Intn(8) + 1
+		fmt.Fprintf(&b, "LDA T%d, stop\nstop:\tJALR T%d, T%d, 0\n", r1, rng.Intn(9), r1)
+	}
 	return b.String()
 }
 
