@@ -38,7 +38,7 @@ bench:
 ## packed kernel against its trit-serial reference (fails below the 3×
 ## aggregate floor, writes the ns/op table to BENCH_kernels.json) — and the
 ## timed-run ratio gate (a job's timed functional run must cost at most
-## 0.85× a Pipeline run on dhrystone), then takes the end-to-end simulator
+## 0.40× a Pipeline run on dhrystone), then takes the end-to-end simulator
 ## throughput figures for the same artifact set
 bench-gate:
 	ART9_BENCH_GATE=1 ART9_BENCH_GATE_OUT=$(CURDIR)/BENCH_kernels.json \

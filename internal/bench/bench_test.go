@@ -207,7 +207,7 @@ func TestByName(t *testing.T) {
 
 // BenchmarkSuiteJob times one whole suite job per workload — RV32
 // reference run, translation, assembly (a cache hit after the first) and
-// both ART-9 cores — with its allocations, the per-job cost the engine
+// the timed ART-9 run — with its allocations, the per-job cost the engine
 // pays for every evaluation.
 func BenchmarkSuiteJob(b *testing.B) {
 	for _, w := range Workloads {
@@ -218,6 +218,36 @@ func BenchmarkSuiteJob(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkRV32Run times a job's RV32 reference run per workload — the
+// machine with both baseline cycle models observing it — in ns per
+// retired instruction. Building the machine is outside the timer.
+func BenchmarkRV32Run(b *testing.B) {
+	for _, w := range Workloads {
+		b.Run(w.Name, func(b *testing.B) {
+			p, err := rv32.Assemble(w.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var retired uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := rv32.NewMachine(1 << 16)
+				m.Observe(rv32.NewVexRiscvModel())
+				m.Observe(rv32.NewPicoRV32Model())
+				if err := m.Load(p); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := m.Run(); err != nil {
+					b.Fatal(err)
+				}
+				retired += m.Retired
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(retired), "ns/inst")
 		})
 	}
 }

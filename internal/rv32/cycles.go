@@ -42,29 +42,25 @@ func (v *VexRiscvModel) Retire(in Inst, taken bool, _ uint32) {
 		v.started = true
 		t = 1
 	}
-	use := func(r Reg) {
-		if r != 0 && v.ready[r] > t {
-			t = v.ready[r] // interlock until the producer's writeback
-		}
-	}
+	// Interlock until each source's producer reaches writeback; x0 is
+	// never pending, as no write to it is tracked.
 	if in.Op.ReadsRs1() {
-		use(in.Rs1)
+		t = max(t, v.ready[in.Rs1])
 	}
 	if in.Op.ReadsRs2() {
-		use(in.Rs2)
+		t = max(t, v.ready[in.Rs2])
 	}
-	var extra uint64
-	switch in.Op {
-	case MUL, MULH, MULHSU, MULHU:
-		extra = v.MulExtra
-	case DIV, DIVU, REM, REMU:
-		extra = v.DivExtra
+	c := classOf(in.Op)
+	switch c {
+	case classMul:
+		t += v.MulExtra
+	case classDiv:
+		t += v.DivExtra
 	}
-	t += extra
 	if in.Op.WritesRd() && in.Rd != 0 {
 		v.ready[in.Rd] = t + 3
 	}
-	if taken || in.Op == JAL || in.Op == JALR {
+	if taken || c == classJAL || c == classJALR {
 		t += v.BranchPenalty
 	}
 	v.t = t
@@ -109,26 +105,26 @@ func NewPicoRV32Model() *PicoRV32Model {
 
 // Retire implements Observer.
 func (p *PicoRV32Model) Retire(in Inst, taken bool, shamt uint32) {
-	switch {
-	case in.Op == JAL:
+	switch classOf(in.Op) {
+	case classJAL:
 		p.Cycles += p.Jump
-	case in.Op == JALR:
+	case classJALR:
 		p.Cycles += p.Jalr
-	case in.Op.IsBranch():
+	case classBranch:
 		if taken {
 			p.Cycles += p.BranchTaken
 		} else {
 			p.Cycles += p.BranchNot
 		}
-	case in.Op.IsLoad():
+	case classLoad:
 		p.Cycles += p.Load
-	case in.Op.IsStore():
+	case classStore:
 		p.Cycles += p.Store
-	case in.Op == MUL || in.Op == MULH || in.Op == MULHSU || in.Op == MULHU:
+	case classMul:
 		p.Cycles += p.Mul
-	case in.Op == DIV || in.Op == DIVU || in.Op == REM || in.Op == REMU:
+	case classDiv:
 		p.Cycles += p.Div
-	case in.Op.IsShift():
+	case classShift:
 		p.Cycles += p.ShiftBase
 		if p.SerialShift {
 			p.Cycles += uint64(shamt)
@@ -140,6 +136,56 @@ func (p *PicoRV32Model) Retire(in Inst, taken bool, shamt uint32) {
 
 // TotalCycles implements CycleModel.
 func (p *PicoRV32Model) TotalCycles() uint64 { return p.Cycles }
+
+// opClass is an op's timing class: the row of cost both cycle models
+// charge it.
+type opClass uint8
+
+const (
+	classALU opClass = iota
+	classShift
+	classLoad
+	classStore
+	classBranch
+	classJAL
+	classJALR
+	classMul
+	classDiv
+)
+
+// opClasses classifies every op once, so Retire picks its cost with one
+// lookup.
+var opClasses = func() (t [NumOps]opClass) {
+	for i := range t {
+		switch op := Op(i); {
+		case op == JAL:
+			t[i] = classJAL
+		case op == JALR:
+			t[i] = classJALR
+		case op.IsBranch():
+			t[i] = classBranch
+		case op.IsLoad():
+			t[i] = classLoad
+		case op.IsStore():
+			t[i] = classStore
+		case op >= DIV:
+			t[i] = classDiv
+		case op.IsMul():
+			t[i] = classMul
+		case op.IsShift():
+			t[i] = classShift
+		}
+	}
+	return t
+}()
+
+// classOf returns op's timing class; an op outside the ISA times as ALU.
+func classOf(op Op) opClass {
+	if op < NumOps {
+		return opClasses[op]
+	}
+	return classALU
+}
 
 var (
 	_ CycleModel = (*VexRiscvModel)(nil)

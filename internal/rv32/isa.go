@@ -125,6 +125,23 @@ const (
 
 // Fmt returns the encoding format of op.
 func (op Op) Fmt() Format {
+	if op < NumOps {
+		return opFormats[op]
+	}
+	return FmtI
+}
+
+// opFormats holds formatOf for every op, so Fmt and the operand
+// predicates built on it cost one lookup on the simulator's step path.
+var opFormats = func() (t [NumOps]Format) {
+	for op := range t {
+		t[op] = formatOf(Op(op))
+	}
+	return t
+}()
+
+// formatOf classifies op by its RISC-V encoding format.
+func formatOf(op Op) Format {
 	switch op {
 	case LUI, AUIPC:
 		return FmtU

@@ -41,15 +41,20 @@ func NewMachine(ramBytes int) *Machine {
 	return &Machine{RAM: make([]byte, ramBytes), MaxSteps: 200_000_000}
 }
 
-// Load initialises the machine from an assembled program.
+// Load initialises the machine from an assembled program: RAM is cleared
+// before the data image is copied in, and PC, the registers and the
+// counters start from zero, so a reloaded machine runs the program
+// exactly as a fresh one would. Attached observers stay attached.
 func (m *Machine) Load(p *Program) error {
 	if len(p.Data) > len(m.RAM) {
 		return fmt.Errorf("rv32: data image %d bytes exceeds RAM %d", len(p.Data), len(m.RAM))
 	}
 	m.Text = p.Insts
+	clear(m.RAM)
 	copy(m.RAM, p.Data)
 	m.PC = 0
 	m.X = [NumRegs]uint32{}
+	m.Retired, m.Loads, m.Stores, m.Taken, m.NotTkn = 0, 0, 0, 0, 0
 	return nil
 }
 

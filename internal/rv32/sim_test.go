@@ -1,6 +1,7 @@
 package rv32
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -392,6 +393,77 @@ func TestDualModelObservation(t *testing.T) {
 	}
 	if m.Reg(10) != 14 {
 		t.Error("architectural result wrong")
+	}
+}
+
+// retireCounter is an Observer that counts the instructions it sees.
+type retireCounter struct{ n uint64 }
+
+func (c *retireCounter) Retire(Inst, bool, uint32) { c.n++ }
+
+// TestLoadResetsMachineBetweenPrograms runs a program that leaves bytes
+// in RAM and then one that reads them, back to back on one Machine: after
+// each Load the machine must run exactly as a fresh one does, with no
+// RAM byte, register or counter left from the earlier program, and its
+// observers still attached.
+func TestLoadResetsMachineBetweenPrograms(t *testing.T) {
+	first := assemble(t, `
+		.data
+	buf:	.word 5
+		.text
+		li t0, 600
+		li t1, 77
+		sw t1, 0(t0)
+		sb t1, 9(t0)
+		lw t2, 0(t0)
+		beq t2, t1, done
+		addi a0, a0, 1
+	done:	bne t2, t1, done
+		li a1, 9
+		ebreak
+	`)
+	second := assemble(t, `
+		li t0, 600
+		lw a0, 0(t0)
+		lbu a2, 9(t0)
+		ebreak
+	`)
+	fresh := func(p *Program) *Machine {
+		m := NewMachine(1 << 12)
+		if err := m.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m := NewMachine(1 << 12)
+	seen := &retireCounter{}
+	m.Observe(seen)
+	var retired uint64
+	for i, p := range []*Program{first, second, first} {
+		if err := m.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := fresh(p)
+		retired += want.Retired
+		if m.PC != want.PC || m.X != want.X {
+			t.Errorf("program %d: PC %#x X %v, fresh machine PC %#x X %v", i, m.PC, m.X, want.PC, want.X)
+		}
+		got := [5]uint64{m.Retired, m.Loads, m.Stores, m.Taken, m.NotTkn}
+		if w := [5]uint64{want.Retired, want.Loads, want.Stores, want.Taken, want.NotTkn}; got != w {
+			t.Errorf("program %d: retired/loads/stores/taken/not-taken %v, fresh machine %v", i, got, w)
+		}
+		if !bytes.Equal(m.RAM, want.RAM) {
+			t.Errorf("program %d: RAM differs from a fresh machine's", i)
+		}
+	}
+	if seen.n != retired {
+		t.Errorf("observer saw %d retirements, want %d", seen.n, retired)
 	}
 }
 

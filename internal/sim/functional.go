@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/isa"
 	"repro/internal/ternary"
 )
 
@@ -55,91 +56,177 @@ func (f *Functional) RunTimed(ctx context.Context) (Result, error) {
 // before instruction j, j is fetched in cycle n+1, leaves ID in cycle
 // n+2 (n now counting j's own load-use stall), reaches MEM in n+4 and,
 // if it is the halt, WB in n+5.
-func (f *Functional) run(ctx context.Context, timed bool) (res Result, err error) {
+//
+// The loop keeps the PC as an index into the predecoded image, converting
+// it to packed form only on return and for a fetch outside the image, and
+// each opcode writes the State directly. It counts only retired
+// instructions, load-use stalls, taken branches, non-halt jumps and the
+// per-opcode mix; the rest of the Result is derived from them on return.
+// evaluate is the Pipeline's datapath alone: the differential tests, not
+// shared code, tie the two cores together.
+func (f *Functional) run(ctx context.Context, timed bool) (Result, error) {
 	s := f.S
 	s.predecode()
 	budget := uint64(f.cfg.withDefaults().MaxSteps)
-	elapsed := func() uint64 {
-		if timed {
-			return res.Retired + res.StallsLoad + res.StallsBranch
-		}
-		return res.Retired
-	}
-	noHalt := func() (Result, error) {
-		if timed {
-			res.Cycles = budget
-		}
-		return res, ErrNoHalt{int(budget)}
-	}
-	var loaded uint16 // TRF bit of the previous instruction's LOAD destination
+	image, trf := s.image, &s.TRF
+	pc := uint(s.PC.UIndex())
+	var (
+		n, stallsLoad, taken, jumps, elapsed uint64
+		byOp                                 [isa.NumOps]uint64
+		loaded                               uint16 // TRF bit of the previous instruction's LOAD destination
+		halt                                 *slot
+		err                                  error
+	)
+loop:
 	for {
-		if elapsed() >= budget {
-			return noHalt()
+		if elapsed = n; timed {
+			elapsed += stallsLoad + taken + jumps
 		}
-		if res.Retired%pollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return res, fmt.Errorf("sim: at PC=%d: %w", s.PC.Int(), err)
+		if elapsed >= budget {
+			err = ErrNoHalt{int(budget)}
+			break
+		}
+		if n%pollEvery == 0 {
+			if err = ctx.Err(); err != nil {
+				err = fmt.Errorf("sim: at PC=%d: %w", ternary.PackedFromInt(int(pc)).Int(), err)
+				break
 			}
 		}
-		d, err := s.fetch(s.PC)
-		if err != nil {
-			return res, err
+		var d *slot
+		if pc < uint(len(image)) && image[pc].ok {
+			d = &image[pc]
+		} else if d, err = s.fetch(ternary.PackedFromInt(int(pc))); err != nil {
+			break
 		}
 		in := &d.in
 		if d.reads&loaded != 0 {
-			res.StallsLoad++
-		}
-		e := evaluate(d, s.TRF[in.Ta], s.TRF[in.Tb])
-		if e.isLoad || e.isStore {
-			if err := s.access(&e); err != nil {
-				if timed && elapsed()+4 > budget && !s.faultsInFetch(d, e, elapsed()+2, budget) {
-					return noHalt()
-				}
-				return res, fmt.Errorf("sim: at PC=%d: %w", s.PC.Int(), err)
-			}
-			if e.isLoad {
-				res.Loads++
-			} else {
-				res.Stores++
-			}
-		}
-		// The halt retires like any other instruction, so its opcode
-		// counts toward the mix — otherwise ΣOpMix < 1 and the
-		// switching-activity profile under-reports the datapath.
-		res.ByCategory[in.Op.Category()]++
-		res.ByOp[in.Op]++
-		res.Retired++
-		if e.isHalt(s.PC) {
-			res.HaltPC = s.PC.UIndex()
-			if timed {
-				if elapsed()+4 > budget {
-					return noHalt()
-				}
-				res.Cycles = elapsed() + 4
-			}
-			return res, nil
-		}
-		if e.writesReg {
-			s.TRF[e.reg] = e.val
-		}
-		if e.branch {
-			if e.taken {
-				res.Taken++
-			} else {
-				res.NotTaken++
-			}
-		} else if e.taken {
-			res.Jumps++
-		}
-		if e.taken {
-			res.StallsBranch++
+			stallsLoad++
+			elapsed++
 		}
 		loaded = 0
-		if e.isLoad {
-			loaded = 1 << e.reg
+		next := d.seqIdx
+		switch in.Op {
+		case isa.MV:
+			trf[in.Ta] = trf[in.Tb]
+		case isa.PTI:
+			trf[in.Ta] = trf[in.Tb].Pti()
+		case isa.NTI:
+			trf[in.Ta] = trf[in.Tb].Nti()
+		case isa.STI:
+			trf[in.Ta] = trf[in.Tb].Sti()
+		case isa.AND:
+			trf[in.Ta] = trf[in.Ta].And(trf[in.Tb])
+		case isa.OR:
+			trf[in.Ta] = trf[in.Ta].Or(trf[in.Tb])
+		case isa.XOR:
+			trf[in.Ta] = trf[in.Ta].Xor(trf[in.Tb])
+		case isa.ADD:
+			trf[in.Ta] = trf[in.Ta].Add(trf[in.Tb])
+		case isa.SUB:
+			trf[in.Ta] = trf[in.Ta].Sub(trf[in.Tb])
+		case isa.SR:
+			trf[in.Ta] = trf[in.Ta].ShiftRight(ternary.ShiftAmount(trf[in.Tb].Field(0, 1)))
+		case isa.SL:
+			trf[in.Ta] = trf[in.Ta].ShiftLeft(ternary.ShiftAmount(trf[in.Tb].Field(0, 1)))
+		case isa.COMP:
+			trf[in.Ta] = trf[in.Ta].Comp(trf[in.Tb])
+		case isa.ANDI:
+			trf[in.Ta] = trf[in.Ta].And(d.imm)
+		case isa.ADDI:
+			trf[in.Ta] = trf[in.Ta].Add(d.imm)
+		case isa.SRI:
+			trf[in.Ta] = trf[in.Ta].ShiftRight(ternary.ShiftAmount(in.Imm))
+		case isa.SLI:
+			trf[in.Ta] = trf[in.Ta].ShiftLeft(ternary.ShiftAmount(in.Imm))
+		case isa.LUI:
+			trf[in.Ta] = d.imm.ShiftLeft(5) // see evaluate
+		case isa.LI:
+			ta := trf[in.Ta]
+			trf[in.Ta] = ternary.Packed{N: ta.N&^liLoMask | d.imm.N, P: ta.P&^liLoMask | d.imm.P}
+		case isa.BEQ, isa.BNE:
+			if (trf[in.Tb].Trit(0) == in.B) == (in.Op == isa.BEQ) {
+				if next = d.targetIdx; next != pc {
+					taken++
+				}
+			}
+		case isa.JAL:
+			if next = d.targetIdx; next != pc {
+				trf[in.Ta] = d.seq
+				jumps++
+			}
+		case isa.JALR:
+			if next = uint(trf[in.Tb].Add(d.imm).UIndex()); next != pc {
+				trf[in.Ta] = d.seq
+				jumps++
+			}
+		case isa.LOAD:
+			var v ternary.Packed
+			if v, err = s.TDM.ReadP(trf[in.Tb].Add(d.imm).UIndex()); err != nil {
+				err = s.tdmFault(d, pc, err, timed, elapsed, budget)
+				break loop
+			}
+			trf[in.Ta] = v
+			loaded = 1 << in.Ta
+		case isa.STORE:
+			if err = s.TDM.WriteP(trf[in.Tb].Add(d.imm).UIndex(), trf[in.Ta]); err != nil {
+				err = s.tdmFault(d, pc, err, timed, elapsed, budget)
+				break loop
+			}
 		}
-		s.PC = e.nextPC
+		if next == pc { // the halt idiom: a transfer to itself
+			halt = d
+			break
+		}
+		byOp[in.Op]++
+		n++
+		pc = next
 	}
+
+	s.PC = ternary.PackedFromInt(int(pc))
+	res := Result{
+		Retired:      n,
+		StallsLoad:   stallsLoad,
+		StallsBranch: taken + jumps,
+		Taken:        taken,
+		NotTaken:     byOp[isa.BEQ] + byOp[isa.BNE] - taken,
+		Jumps:        jumps,
+		Loads:        byOp[isa.LOAD],
+		Stores:       byOp[isa.STORE],
+	}
+	if halt != nil {
+		// The halt retires like any other instruction, so its opcode
+		// counts toward the mix — otherwise ΣOpMix < 1 and the
+		// switching-activity profile under-reports the datapath — but
+		// not as a taken branch or jump.
+		byOp[halt.in.Op]++
+		res.Retired++
+		if elapsed++; timed && elapsed+4 > budget {
+			err = ErrNoHalt{int(budget)}
+		} else {
+			res.HaltPC = int(pc)
+			res.Cycles = elapsed + 4
+		}
+	}
+	res.ByOp = byOp
+	for op, k := range byOp {
+		res.ByCategory[isa.Op(op).Category()] += k
+	}
+	if _, ok := err.(ErrNoHalt); ok && timed {
+		res.Cycles = budget
+	}
+	return res, err
+}
+
+// tdmFault is the error that ends a run when the LOAD or STORE d at pc
+// faults on TDM, with elapsed cycles counted before d leaves ID. A timed
+// run whose budget ends before d's MEM cycle stops with ErrNoHalt, as the
+// Pipeline does, unless the Pipeline's fetch of a later instruction
+// faults first.
+func (s *State) tdmFault(d *slot, pc uint, err error, timed bool, elapsed, budget uint64) error {
+	if timed && elapsed+4 > budget && !s.faultsInFetch(d, evaluate(d, s.TRF[d.in.Ta], s.TRF[d.in.Tb]), elapsed+2, budget) {
+		return ErrNoHalt{int(budget)}
+	}
+	return fmt.Errorf("sim: at PC=%d: %w", ternary.PackedFromInt(int(pc)).Int(), err)
 }
 
 // fetch returns the slot of the instruction at pc, reading and decoding
@@ -157,15 +244,6 @@ func (s *State) fetch(pc ternary.Packed) (*slot, error) {
 		return nil, fmt.Errorf("sim: at PC=%d: %w", pc.Int(), err)
 	}
 	return &sl, nil
-}
-
-// access performs the TDM read or write of the LOAD or STORE effect e.
-func (s *State) access(e *effect) (err error) {
-	if e.isLoad {
-		e.val, err = s.TDM.ReadP(e.addr.UIndex())
-		return err
-	}
-	return s.TDM.WriteP(e.addr.UIndex(), e.store)
 }
 
 // faultsInFetch reports whether the Pipeline faults within budget when

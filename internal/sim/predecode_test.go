@@ -20,8 +20,8 @@ func allWords() []ternary.Word {
 
 // checkSlot compares a predecoded slot with the on-the-fly decode of word w
 // fetched from TIM index addr: DecodePacked plus PackedFromInt, Inc and Add
-// exactly as a step would compute them, and the registers the pipeline's
-// hazard unit treats as read.
+// exactly as a step would compute them, their TIM indices, and the
+// registers the pipeline's hazard unit treats as read.
 func checkSlot(t *testing.T, got slot, w ternary.Word, addr int) {
 	t.Helper()
 	q := ternary.Pack(w)
@@ -40,7 +40,8 @@ func checkSlot(t *testing.T, got slot, w ternary.Word, addr int) {
 		return
 	}
 	imm := ternary.PackedFromInt(in.Imm)
-	want := slot{word: q, ok: true, in: in, imm: imm, seq: pc.Inc(), target: pc.Add(imm)}
+	want := slot{word: q, ok: true, in: in, imm: imm, seq: pc.Inc(), target: pc.Add(imm),
+		seqIdx: uint(pc.Inc().UIndex()), targetIdx: uint(pc.Add(imm).UIndex())}
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
 		if (in.Op.ReadsTa() && in.Ta == r) || (in.Op.ReadsTb() && in.Tb == r) {
 			want.reads |= 1 << r

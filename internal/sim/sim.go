@@ -19,6 +19,13 @@
 // transfers + 4. The evaluation paths run RunTimed; the Pipeline remains
 // the cycle-by-cycle model behind art9-sim's trace and the oracle the
 // differential tests pin RunTimed to.
+//
+// The two cores share no datapath code. The functional core's step loop
+// indexes the predecoded image by an unsigned PC index, executes each
+// opcode straight onto the State and derives most Result counters once,
+// on return; evaluate and its effect record serve the Pipeline alone.
+// The differential tests (oracle_test.go) and the FuzzCores target are
+// what hold the two to the same semantics.
 package sim
 
 import (
@@ -121,6 +128,10 @@ type slot struct {
 	seq    ternary.Packed // the word's address plus one
 	target ternary.Packed // address plus imm: the BEQ/BNE/JAL destination
 	reads  uint16         // bit r set when the instruction reads TRF[r]
+
+	// seqIdx and targetIdx are seq and target as TIM indices, the form
+	// the functional core steps by.
+	seqIdx, targetIdx uint
 }
 
 // decodeAt decodes the word w fetched from address pc.
@@ -137,7 +148,9 @@ func decodeAt(w, pc ternary.Packed) (slot, error) {
 	if in.Op.ReadsTb() {
 		reads |= 1 << in.Tb
 	}
-	return slot{word: w, ok: true, in: in, imm: imm, seq: pc.Inc(), target: pc.Add(imm), reads: reads}, nil
+	seq, target := pc.Inc(), pc.Add(imm)
+	return slot{word: w, ok: true, in: in, imm: imm, seq: seq, target: target, reads: reads,
+		seqIdx: uint(seq.UIndex()), targetIdx: uint(target.UIndex())}, nil
 }
 
 // predecode brings the image up to date with TIM[0:imageLen]. A slot is
@@ -224,8 +237,9 @@ func (e ErrNoHalt) Error() string {
 }
 
 // effect is the architectural outcome of one instruction: the full Table I
-// semantics evaluated against a read-only view of the state. Memory reads
-// are performed by the caller so both cores share it.
+// semantics evaluated against a read-only view of the state, the record
+// the Pipeline carries through its stage latches. Memory reads are
+// performed by the caller, in MEM.
 type effect struct {
 	writesReg bool
 	reg       isa.Reg
@@ -245,7 +259,7 @@ type effect struct {
 const liLoMask = 1<<5 - 1
 
 // evaluate computes the effect of the predecoded instruction d with
-// register read values ta and tb (already forwarded by the caller as
+// register read values ta and tb (already forwarded by the Pipeline as
 // appropriate). Everything runs in the bit-plane form; each kernel is
 // differentially pinned to the trit-serial reference in internal/ternary,
 // so the architectural semantics of Table I are unchanged.
