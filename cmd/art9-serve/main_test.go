@@ -62,7 +62,7 @@ func TestValidateFleetFlags(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			warn, err := validateFleetFlags(tt.cfg)
+			warn, err := remote.ValidateFleetFlags(tt.cfg)
 			if tt.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
 					t.Fatalf("err = %v, want containing %q", err, tt.wantErr)

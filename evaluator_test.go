@@ -68,9 +68,10 @@ func TestNewWithShards(t *testing.T) {
 	}
 }
 
-// TestNewWithShardsIndependentCaches asserts the shards do not share
-// engine cache fields — the property that makes them rehearsals for
-// remote peers.
+// TestNewWithShardsIndependentCaches asserts WithShards(2) builds a
+// Balancer over two separate local engines — the shards stand in for
+// remote peers. Every job shares the process-wide program and analysis
+// caches, whichever shard runs it.
 func TestNewWithShardsIndependentCaches(t *testing.T) {
 	ev, err := art9.New(art9.WithShards(2), art9.WithWorkers(1))
 	if err != nil {
@@ -83,11 +84,8 @@ func TestNewWithShardsIndependentCaches(t *testing.T) {
 	if !ok0 || !ok1 {
 		t.Fatal("New(WithShards(2)) backends are not local engines")
 	}
-	if e0.Programs == e1.Programs {
-		t.Error("shards share a ProgramCache")
-	}
-	if e0.Programs == engine.SharedPrograms {
-		t.Error("shard 0 uses the process-wide ProgramCache")
+	if e0 == e1 {
+		t.Error("both shards are the same engine")
 	}
 }
 

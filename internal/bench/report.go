@@ -273,11 +273,6 @@ func ImplReports(o *Outcome, techs []*gate.Technology) []ImplReport {
 	return irs
 }
 
-// CacheReportOf snapshots an engine's cache counters.
-func CacheReportOf(e *engine.Engine) CacheReport {
-	return cacheReport(e.Programs.Stats(), e.Analyses.Stats())
-}
-
 // SharedCacheReport snapshots the process-wide memoization caches — the
 // ones every bench job feeds regardless of which backend ran it.
 func SharedCacheReport() CacheReport {
@@ -292,28 +287,20 @@ func cacheReport(ps, as engine.CacheStats) CacheReport {
 	}
 }
 
-// EngineReportOf renders one engine's counters (a single shard).
-func EngineReportOf(e *engine.Engine) EngineReport {
-	return engineReport(e.Stats(), 1)
-}
-
 // EngineReportFrom renders an already-taken stats snapshot — for
 // callers (the serve stats endpoint) that must not trigger a second
 // scrape of remote backends.
 func EngineReportFrom(st engine.Stats, shards int) EngineReport {
-	return engineReport(st, shards)
-}
-
-// EngineReportFor renders any Evaluator backend's counters, resolving
-// the shard count through engine.Composite and falling back to a
-// single logical shard for anything else (a remote client, a custom
-// backend). Remote backends answer with their peer's lifetime
-// counters; for a report scoped to one run, use RunReportFor.
-func EngineReportFor(ev engine.Evaluator) EngineReport {
-	if c, ok := ev.(engine.Composite); ok {
-		return engineReport(c.Stats(), c.Size())
+	return EngineReport{
+		Workers:   st.Workers,
+		Shards:    shards,
+		Submitted: st.Submitted,
+		Completed: st.Completed,
+		Failed:    st.Failed,
+		Canceled:  st.Canceled,
+		Rejected:  st.Rejected,
+		Streams:   st.Streams,
 	}
-	return engineReport(ev.Stats(), 1)
 }
 
 // RunReportFor renders only the counters attributable to this process's
@@ -327,18 +314,5 @@ func RunReportFor(ev engine.Evaluator) EngineReport {
 	if c, ok := ev.(engine.Composite); ok {
 		shards = c.Size()
 	}
-	return engineReport(engine.LocalStats(ev), shards)
-}
-
-func engineReport(st engine.Stats, shards int) EngineReport {
-	return EngineReport{
-		Workers:   st.Workers,
-		Shards:    shards,
-		Submitted: st.Submitted,
-		Completed: st.Completed,
-		Failed:    st.Failed,
-		Canceled:  st.Canceled,
-		Rejected:  st.Rejected,
-		Streams:   st.Streams,
-	}
+	return EngineReportFrom(engine.LocalStats(ev), shards)
 }

@@ -41,7 +41,7 @@ func TestResultCacheRoundTripRendersIdentically(t *testing.T) {
 	}
 	cache := NewResultCache(rescache.NewLRU(0, 0))
 
-	cold := engine.New(engine.Options{Workers: 2, PrivateCaches: true, Cache: cache})
+	cold := engine.New(engine.Options{Workers: 2, Cache: cache})
 	defer cold.Close()
 	coldRes, err := cold.Run(context.Background(), jobs)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestResultCacheRoundTripRendersIdentically(t *testing.T) {
 	}
 
 	// A fresh engine sharing the store answers every job from cache.
-	warm := engine.New(engine.Options{Workers: 2, PrivateCaches: true, Cache: cache})
+	warm := engine.New(engine.Options{Workers: 2, Cache: cache})
 	defer warm.Close()
 	warmRes, err := warm.Run(context.Background(), jobs)
 	if err != nil {

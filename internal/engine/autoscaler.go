@@ -106,9 +106,7 @@ type AutoscalerOptions struct {
 	// Min and Max bound the local shard count (Min 0 selects 1; Max 0
 	// selects Min). Standby backends are recruited beyond Max.
 	Min, Max int
-	// Engine configures each spawned local shard. PrivateCaches is
-	// forced on when the pool can ever hold more than one member, so
-	// shards stay independent exactly like a fixed fleet's.
+	// Engine configures each spawned local shard.
 	Engine Options
 	// Spawn overrides how a local shard is built (tests inject scripted
 	// backends); nil selects engine.New(Engine).
@@ -169,11 +167,6 @@ func NewAutoscaler(opts AutoscalerOptions) *Autoscaler {
 	spawn := opts.Spawn
 	if spawn == nil {
 		eo := opts.Engine
-		// Pools that can ever hold more than one member keep shards
-		// independent, matching NewBackendWith's composition rule.
-		if opts.Max > 1 || len(opts.Standby) > 0 {
-			eo.PrivateCaches = true
-		}
 		spawn = func() Evaluator { return New(eo) }
 	}
 	// A manual-only pool (negative Interval) probes only through

@@ -141,7 +141,7 @@ func TestAutoscalerDrainsBeforeRetire(t *testing.T) {
 		Min: 1, Max: 2,
 		DownThreshold: 0.9,
 		Spawn: func() engine.Evaluator {
-			ct := &closeTracker{Evaluator: engine.New(engine.Options{Workers: 2, PrivateCaches: true})}
+			ct := &closeTracker{Evaluator: engine.New(engine.Options{Workers: 2})}
 			trackers = append(trackers, ct)
 			return ct
 		},
@@ -242,7 +242,7 @@ func TestAutoscalerRecruitsAndRetiresStandbys(t *testing.T) {
 			Name: "reserve-a",
 			Dial: func() (engine.Evaluator, error) {
 				dials.Add(1)
-				return engine.New(engine.Options{Workers: 1, PrivateCaches: true}), nil
+				return engine.New(engine.Options{Workers: 1}), nil
 			},
 		}},
 	})
@@ -450,11 +450,11 @@ func TestAutoscalerFailoverRetriesOnDeadMember(t *testing.T) {
 			if spawned == 1 {
 				// The first member dies immediately: every dispatch to it
 				// resolves with the retryable closed error.
-				e := engine.New(engine.Options{Workers: 1, PrivateCaches: true})
+				e := engine.New(engine.Options{Workers: 1})
 				e.Close()
 				return e
 			}
-			return engine.New(engine.Options{Workers: 1, PrivateCaches: true})
+			return engine.New(engine.Options{Workers: 1})
 		},
 	})
 
@@ -497,7 +497,7 @@ func TestAutoscalerAbandonsWedgedMember(t *testing.T) {
 			if spawned == 1 {
 				return wedged
 			}
-			return engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+			return engine.New(engine.Options{Workers: 2})
 		},
 	})
 

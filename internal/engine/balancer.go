@@ -258,7 +258,7 @@ func Retryable(err error) bool {
 // selects one default local engine.
 func NewBalancer(opts BalancerOptions, backends ...Evaluator) *Balancer {
 	if len(backends) == 0 {
-		backends = []Evaluator{New(Options{PrivateCaches: true})}
+		backends = []Evaluator{New(Options{})}
 	}
 	b := newBalancer(opts)
 	b.mu.Lock()

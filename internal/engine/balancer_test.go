@@ -42,8 +42,8 @@ func TestBalancerHealthyMatchesSingleEngine(t *testing.T) {
 	want := scenariotest.Reference(t, scenariotest.Jobs(n))
 
 	b := newBalancer(t, engine.BalancerOptions{},
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}),
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 2}),
+		engine.New(engine.Options{Workers: 2}))
 
 	rs, err := b.Run(context.Background(), scenariotest.Jobs(n))
 	if err != nil {
@@ -80,7 +80,7 @@ func TestBalancerFailoverBackendDiesMidSuite(t *testing.T) {
 			flaky := faulttest.New("dying-peer").Width(2).FailAfter(1, nil)
 			b := newBalancer(t, engine.BalancerOptions{},
 				flaky,
-				engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+				engine.New(engine.Options{Workers: 2}))
 
 			var rs []engine.Result
 			if mode == "run" {
@@ -182,7 +182,7 @@ func TestBalancerSlowBackendDoesNotStarveSuite(t *testing.T) {
 	slow := faulttest.New("slow-peer").Delay(150 * time.Millisecond).Width(1)
 	b := newBalancer(t, engine.BalancerOptions{},
 		slow,
-		engine.New(engine.Options{Workers: 4, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 4}))
 
 	start := time.Now()
 	rs, err := b.Run(context.Background(), scenariotest.Jobs(n))
@@ -252,7 +252,7 @@ func TestBalancerCancelDuringFailover(t *testing.T) {
 // revival plus ProbeNow brings it back into dispatch.
 func TestBalancerProbeRevivesBackend(t *testing.T) {
 	flaky := faulttest.New("cycling")
-	eng := engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+	eng := engine.New(engine.Options{Workers: 2})
 	b := newBalancer(t, engine.BalancerOptions{}, flaky, eng)
 
 	// Healthy round-trip first, then kill and mark down via a probe.
@@ -290,7 +290,7 @@ func TestBalancerProbeRevivesBackend(t *testing.T) {
 // submitted after Close resolve with ErrClosed and Close is idempotent.
 func TestBalancerClosedResolvesJobs(t *testing.T) {
 	b := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
-		engine.New(engine.Options{Workers: 1, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 1}))
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +314,8 @@ func TestBalancerClosedResolvesJobs(t *testing.T) {
 // local engines report their pool sizes without any scraping.
 func TestBalancerLocalStats(t *testing.T) {
 	b := newBalancer(t, engine.BalancerOptions{},
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}),
-		engine.New(engine.Options{Workers: 3, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 2}),
+		engine.New(engine.Options{Workers: 3}))
 	b.Run(context.Background(), scenariotest.Jobs(5))
 	st := engine.LocalStats(b)
 	if st.Workers != 5 {
@@ -338,7 +338,7 @@ func TestBalancerAbandonsWedgedBackend(t *testing.T) {
 		ProbeSick(errors.New("healthz timed out"))
 	b := newBalancer(t, engine.BalancerOptions{},
 		wedged,
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 2}))
 
 	done := make(chan []engine.Result, 1)
 	go func() {
@@ -384,7 +384,7 @@ func TestBalancerProbeLeavesNonProberAlone(t *testing.T) {
 	dead := &proberlessBackend{err: fmt.Errorf("boom: %w", engine.ErrUnavailable)}
 	b := newBalancer(t, engine.BalancerOptions{},
 		dead,
-		engine.New(engine.Options{Workers: 1, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 1}))
 
 	if rs, _ := b.Run(context.Background(), scenariotest.Jobs(4)); len(rs) != 4 {
 		t.Fatal("run did not resolve")
@@ -643,7 +643,7 @@ func TestRetrylessBalancerDeadBackendFailsTyped(t *testing.T) {
 	const n = 10
 	s := newBalancer(t, engine.BalancerOptions{MaxRetries: -1},
 		faulttest.New("dying-shard").FailAfter(2, nil),
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 2}))
 
 	jobs := scenariotest.Jobs(n)
 	rs, err := s.Run(context.Background(), jobs)
@@ -669,7 +669,7 @@ func TestRetrylessBalancerDeadBackendFailsTyped(t *testing.T) {
 	// The identical fault behind a retrying Balancer loses nothing.
 	b := newBalancer(t, engine.BalancerOptions{},
 		faulttest.New("dying-shard").FailAfter(2, nil),
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 2}))
 	brs, err := b.Run(context.Background(), scenariotest.Jobs(n))
 	if err != nil {
 		t.Fatal(err)
@@ -687,7 +687,7 @@ func TestRetrylessBalancerDeadBackendFailsTyped(t *testing.T) {
 func TestRetrylessBalancerStreamWithDeadBackendStillCloses(t *testing.T) {
 	s := newBalancer(t, engine.BalancerOptions{MaxRetries: -1},
 		faulttest.New("doa").FailAfter(0, nil),
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+		engine.New(engine.Options{Workers: 2}))
 
 	seen := 0
 	for range s.Stream(context.Background(), scenariotest.Jobs(8)) {

@@ -39,12 +39,12 @@ const (
 	analysisFootprint = 4 << 10
 )
 
-// The process-wide caches every engine shares by default, so repeated
-// suite evaluations — successive Run calls, the bench harness, the
-// batch CLI — reuse each other's work. Both are LRU-bounded (the
-// Default*Cache* limits), so a long-lived embedder feeding unbounded
-// distinct sources through Compile/AssembleCached ages cold entries
-// out instead of growing without limit.
+// The process-wide caches every job shares through AssembleCached and
+// AnalyzeART9, so repeated suite evaluations — successive Run calls,
+// the bench harness, the batch CLI — reuse each other's work. Both are
+// LRU-bounded (the Default*Cache* limits), so a long-lived embedder
+// feeding unbounded distinct sources through Compile/AssembleCached
+// ages cold entries out instead of growing without limit.
 var (
 	SharedPrograms = NewProgramCache()
 	SharedAnalyses = NewAnalysisCache()

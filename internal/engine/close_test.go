@@ -22,7 +22,7 @@ import (
 func TestCloseResolvesQueuedJobs(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		const queued = 24
-		e := New(Options{Workers: 1, Queue: 4, PrivateCaches: true})
+		e := New(Options{Workers: 1, Queue: 4})
 
 		started := make(chan struct{})
 		release := make(chan struct{})
@@ -93,7 +93,7 @@ func TestCloseResolvesQueuedJobs(t *testing.T) {
 // on unread done channels (they are buffered), and reads afterwards must
 // still see every result.
 func TestCloseRejectsWithoutWaiters(t *testing.T) {
-	e := New(Options{Workers: 2, Queue: 2, PrivateCaches: true})
+	e := New(Options{Workers: 2, Queue: 2})
 	var chans []<-chan Result
 	for i := 0; i < 16; i++ {
 		chans = append(chans, e.Submit(context.Background(), Job{

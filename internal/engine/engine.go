@@ -60,13 +60,6 @@ type Options struct {
 	// submitters (the HTTP suite endpoint, Stream fan-outs) hand off
 	// without parking one goroutine per pending send.
 	Queue int
-	// PrivateCaches gives the engine's Programs/Analyses fields fresh
-	// caches instead of pointing them at the process-wide shared ones.
-	// Only jobs that route work through those fields are isolated —
-	// the bench/core helpers (AssembleCached, AnalyzeART9) always use
-	// the shared caches. Useful for tests that assert exact hit/miss
-	// counts on work they submit themselves.
-	PrivateCaches bool
 	// Cache, when set, is consulted with each job's Spec before the
 	// job is enqueued: a hit resolves the Submit immediately with the
 	// cached value (Worker -1, counted as completed) and the job never
@@ -140,7 +133,7 @@ type task struct {
 
 // Engine is a fixed-size worker pool with a buffered dispatch queue,
 // submission-order (Run) and completion-order (Stream) result
-// collection, and shared memoization caches.
+// collection; its jobs share the process-wide memoization caches.
 type Engine struct {
 	workers int
 	timeout time.Duration
@@ -169,11 +162,6 @@ type Engine struct {
 	canceled  atomic.Uint64
 	rejected  atomic.Uint64
 	streams   atomic.Uint64
-
-	// Programs memoizes assembled ART-9 programs by source text.
-	Programs *ProgramCache
-	// Analyses memoizes gate-level analyses by (netlist, technology).
-	Analyses *AnalysisCache
 }
 
 // New starts a worker pool. Call Close when done with it.
@@ -187,17 +175,11 @@ func New(opts Options) *Engine {
 		q = 2 * w
 	}
 	e := &Engine{
-		workers:  w,
-		timeout:  opts.JobTimeout,
-		jobs:     make(chan task, q),
-		quit:     make(chan struct{}),
-		cache:    opts.Cache,
-		Programs: SharedPrograms,
-		Analyses: SharedAnalyses,
-	}
-	if opts.PrivateCaches {
-		e.Programs = NewProgramCache()
-		e.Analyses = NewAnalysisCache()
+		workers: w,
+		timeout: opts.JobTimeout,
+		jobs:    make(chan task, q),
+		quit:    make(chan struct{}),
+		cache:   opts.Cache,
 	}
 	e.wg.Add(w)
 	for i := 0; i < w; i++ {

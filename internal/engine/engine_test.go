@@ -11,7 +11,7 @@ import (
 )
 
 func TestRunAllOrderAndValues(t *testing.T) {
-	e := New(Options{Workers: 4, PrivateCaches: true})
+	e := New(Options{Workers: 4})
 	defer e.Close()
 
 	jobs := make([]Job, 32)
@@ -50,7 +50,7 @@ func TestRunAllOrderAndValues(t *testing.T) {
 }
 
 func TestRunAllReportsJobErrors(t *testing.T) {
-	e := New(Options{Workers: 2, PrivateCaches: true})
+	e := New(Options{Workers: 2})
 	defer e.Close()
 
 	boom := errors.New("boom")
@@ -75,7 +75,7 @@ func TestRunAllReportsJobErrors(t *testing.T) {
 }
 
 func TestSubmitSingle(t *testing.T) {
-	e := New(Options{Workers: 1, PrivateCaches: true})
+	e := New(Options{Workers: 1})
 	defer e.Close()
 
 	r := <-e.Submit(context.Background(), Job{
@@ -91,7 +91,7 @@ func TestCancellationMidBatch(t *testing.T) {
 	// One worker, pinned on a gated first job. The batch queued behind
 	// it is cancelled while the worker is busy: every queued job must
 	// resolve with the context error without executing.
-	e := New(Options{Workers: 1, PrivateCaches: true})
+	e := New(Options{Workers: 1})
 	defer e.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -141,7 +141,7 @@ func TestCancellationMidBatch(t *testing.T) {
 }
 
 func TestPerJobTimeout(t *testing.T) {
-	e := New(Options{Workers: 1, PrivateCaches: true})
+	e := New(Options{Workers: 1})
 	defer e.Close()
 
 	r := <-e.Submit(context.Background(), Job{
@@ -162,7 +162,7 @@ func TestPerJobTimeout(t *testing.T) {
 }
 
 func TestEngineDefaultTimeout(t *testing.T) {
-	e := New(Options{Workers: 1, JobTimeout: 10 * time.Millisecond, PrivateCaches: true})
+	e := New(Options{Workers: 1, JobTimeout: 10 * time.Millisecond})
 	defer e.Close()
 
 	r := <-e.Submit(context.Background(), Job{
@@ -178,7 +178,7 @@ func TestEngineDefaultTimeout(t *testing.T) {
 }
 
 func TestSubmitAfterClose(t *testing.T) {
-	e := New(Options{Workers: 1, PrivateCaches: true})
+	e := New(Options{Workers: 1})
 	e.Close()
 	e.Close() // idempotent
 
@@ -206,12 +206,13 @@ func TestDefaultWorkerCount(t *testing.T) {
 	}
 }
 
-// TestRaceStress drives many small jobs through shared caches; its value
-// is under `go test -race`, where any unsynchronised access in the
-// engine, the caches, or the memoized netlist turns into a failure.
+// TestRaceStress drives many small jobs through one program cache; its
+// value is under `go test -race`, where any unsynchronised access in the
+// engine or the cache turns into a failure.
 func TestRaceStress(t *testing.T) {
-	e := New(Options{Workers: 8, PrivateCaches: true})
+	e := New(Options{Workers: 8})
 	defer e.Close()
+	programs := NewProgramCache()
 
 	sources := []string{
 		"LDI T1, 1\nHALT",
@@ -224,7 +225,7 @@ func TestRaceStress(t *testing.T) {
 		jobs[i] = Job{
 			ID: fmt.Sprintf("stress-%d", i),
 			Fn: func(context.Context) (any, error) {
-				p, err := e.Programs.Assemble(src)
+				p, err := programs.Assemble(src)
 				if err != nil {
 					return nil, err
 				}
@@ -241,7 +242,7 @@ func TestRaceStress(t *testing.T) {
 			t.Fatalf("job %s: %v", r.ID, r.Err)
 		}
 	}
-	ps := e.Programs.Stats()
+	ps := programs.Stats()
 	if ps.Entries != len(sources) {
 		t.Errorf("program cache entries = %d, want %d", ps.Entries, len(sources))
 	}
@@ -255,7 +256,7 @@ func TestRaceStress(t *testing.T) {
 // and stack, while the jobs beside it succeed and the engine keeps
 // serving. Behind a Balancer the failure is job-level, never retried.
 func TestJobPanicIsContained(t *testing.T) {
-	e := New(Options{Workers: 2, PrivateCaches: true})
+	e := New(Options{Workers: 2})
 	defer e.Close()
 
 	ok := func(v int) func(context.Context) (any, error) {
@@ -292,7 +293,7 @@ func TestJobPanicIsContained(t *testing.T) {
 
 	// The pool survived: a balancer over it still serves, and does not
 	// retry the panic elsewhere.
-	b := NewBalancer(BalancerOptions{HealthInterval: -1}, New(Options{Workers: 1, PrivateCaches: true}))
+	b := NewBalancer(BalancerOptions{HealthInterval: -1}, New(Options{Workers: 1}))
 	defer b.Close()
 	rs, _ = b.Run(context.Background(), jobs)
 	if !errors.Is(rs[1].Err, ErrPanic) || rs[0].Err != nil || rs[3].Err != nil {

@@ -53,7 +53,7 @@ func (f *fakeBackend) Close() error { return nil }
 // aggregate stats across the heterogeneous set — the property that lets
 // a backend be a remote peer.
 func TestBalancerOfMixedBackends(t *testing.T) {
-	local := New(Options{Workers: 2, PrivateCaches: true})
+	local := New(Options{Workers: 2})
 	fake := &fakeBackend{name: "peer"}
 	s := NewBalancer(BalancerOptions{HealthInterval: -1}, local, fake)
 	defer s.Close()
@@ -117,7 +117,7 @@ func TestBalancerOfMixedBackends(t *testing.T) {
 // checks jobs still resolve with submission-order results.
 func TestBalancerComposesRecursively(t *testing.T) {
 	inner := localFleet(2, Options{Workers: 1})
-	outer := NewBalancer(BalancerOptions{HealthInterval: -1}, inner, New(Options{Workers: 1, PrivateCaches: true}))
+	outer := NewBalancer(BalancerOptions{HealthInterval: -1}, inner, New(Options{Workers: 1}))
 	defer outer.Close()
 
 	jobs := make([]Job, 8)
@@ -145,7 +145,7 @@ func TestBalancerComposesRecursively(t *testing.T) {
 // context.DeadlineExceeded), while a cancellation on the caller's own
 // context stays the caller's error.
 func TestJobTimeoutIsTyped(t *testing.T) {
-	e := New(Options{Workers: 1, JobTimeout: 5 * time.Millisecond, PrivateCaches: true})
+	e := New(Options{Workers: 1, JobTimeout: 5 * time.Millisecond})
 	defer e.Close()
 
 	r := <-e.Submit(context.Background(), Job{ID: "slow",

@@ -65,7 +65,7 @@ func cachedJobs(n int, ran *atomic.Int64) []Job {
 
 func TestEngineResultCacheShortCircuits(t *testing.T) {
 	cache := newFakeResultCache()
-	e := New(Options{Workers: 2, PrivateCaches: true, Cache: cache})
+	e := New(Options{Workers: 2, Cache: cache})
 	defer e.Close()
 	if e.ResultCache() != ResultCache(cache) {
 		t.Fatal("ResultCache accessor does not return the configured cache")
@@ -115,7 +115,7 @@ func TestEngineResultCacheShortCircuits(t *testing.T) {
 
 func TestEngineResultCacheSkipsSpeclessAndFailedJobs(t *testing.T) {
 	cache := newFakeResultCache()
-	e := New(Options{Workers: 1, PrivateCaches: true, Cache: cache})
+	e := New(Options{Workers: 1, Cache: cache})
 	defer e.Close()
 
 	rs, _ := e.Run(context.Background(), []Job{
@@ -139,7 +139,7 @@ func TestBalancerResultCacheShortCircuits(t *testing.T) {
 	for _, chunk := range []int{0, 4} {
 		cache := newFakeResultCache()
 		b := NewBalancer(BalancerOptions{Cache: cache, Chunk: chunk, HealthInterval: -1},
-			New(Options{Workers: 2, PrivateCaches: true}))
+			New(Options{Workers: 2}))
 
 		var ran atomic.Int64
 		jobs := cachedJobs(6, &ran)

@@ -122,7 +122,7 @@ func TestAutoscaleStandbyBurst(t *testing.T) {
 	jobs := scenariotest.BenchJobs(t, n)
 	want := scenariotest.ReferenceRows(t, jobs)
 
-	peer := serve.NewWithBackend(engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+	peer := serve.NewWithBackend(engine.New(engine.Options{Workers: 2}))
 	ts := httptest.NewServer(peer.Handler())
 	t.Cleanup(func() {
 		ts.Close()

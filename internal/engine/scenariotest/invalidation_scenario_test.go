@@ -70,7 +70,7 @@ func renderImplRows(t *testing.T, rs []engine.Result, techs []*gate.Technology) 
 // with implementations — the oracle for both halves of the scenario.
 func uncachedRows(t *testing.T, jobs []engine.Job, techs []*gate.Technology) string {
 	t.Helper()
-	eng := engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+	eng := engine.New(engine.Options{Workers: 2})
 	defer eng.Close()
 	rs, err := eng.Run(context.Background(), jobs)
 	if err != nil {
@@ -94,7 +94,7 @@ func TestScenarioTechnologyEditedBetweenRuns(t *testing.T) {
 	}
 
 	ev := mustBackend(t, remote.BackendConfig{
-		Cache: true, Engine: engine.Options{Workers: 2}})
+		Cache: true, Workers: 2})
 	defer ev.Close()
 	adapter, ok := engine.ResultCacheOf(ev).(*bench.ResultCache)
 	if !ok {

@@ -128,7 +128,7 @@ func RenderRows(t *testing.T, rs []engine.Result) string {
 // against.
 func reference(t *testing.T, jobs []engine.Job, render func(*testing.T, []engine.Result) string) string {
 	t.Helper()
-	eng := engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+	eng := engine.New(engine.Options{Workers: 2})
 	defer eng.Close()
 	rs, err := eng.Run(context.Background(), jobs)
 	if err != nil {

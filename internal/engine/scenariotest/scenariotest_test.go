@@ -23,7 +23,7 @@ import (
 
 // localEngine is the healthy survivor every fleet includes.
 func localEngine() *engine.Engine {
-	return engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+	return engine.New(engine.Options{Workers: 2})
 }
 
 // serveClient wraps a backend in an httptest art9-serve instance and

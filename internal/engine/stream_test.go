@@ -14,7 +14,7 @@ import (
 // the property that distinguishes Stream from Run.
 func TestStreamCompletionOrder(t *testing.T) {
 	const n = 4
-	e := New(Options{Workers: n, PrivateCaches: true})
+	e := New(Options{Workers: n})
 	defer e.Close()
 
 	gates := make([]chan struct{}, n)
@@ -56,7 +56,7 @@ func TestStreamCompletionOrder(t *testing.T) {
 
 // TestStreamEmpty: a zero-job stream closes immediately.
 func TestStreamEmpty(t *testing.T) {
-	e := New(Options{Workers: 1, PrivateCaches: true})
+	e := New(Options{Workers: 1})
 	defer e.Close()
 	select {
 	case _, ok := <-e.Stream(context.Background(), nil):
@@ -72,7 +72,7 @@ func TestStreamEmpty(t *testing.T) {
 // only worker; every outstanding job must resolve (with the context
 // error) and the stream must close.
 func TestStreamCancelMidStream(t *testing.T) {
-	e := New(Options{Workers: 1, PrivateCaches: true})
+	e := New(Options{Workers: 1})
 	defer e.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -128,7 +128,7 @@ func TestStreamCancelMidStream(t *testing.T) {
 // result must be success, ErrClosed, or a context error — nothing
 // stranded, no double-resolution, no races on the counters.
 func TestStreamCloseRaceStress(t *testing.T) {
-	e := New(Options{Workers: 4, Queue: 2, PrivateCaches: true})
+	e := New(Options{Workers: 4, Queue: 2})
 
 	const streams, perStream = 8, 25
 	var wg sync.WaitGroup
@@ -164,10 +164,9 @@ func TestStreamCloseRaceStress(t *testing.T) {
 	}
 }
 
-// localFleet fronts n private-cache local engines with a Balancer —
-// the topology art9.New(WithShards(n)) builds — with the probe loop off.
+// localFleet fronts n local engines with a Balancer — the topology
+// art9.New(WithShards(n)) builds — with the probe loop off.
 func localFleet(n int, opts Options) *Balancer {
-	opts.PrivateCaches = true
 	backends := make([]Evaluator, n)
 	for i := range backends {
 		backends[i] = New(opts)

@@ -33,7 +33,7 @@ var Analyzer = &analysis.Analyzer{
 var constructors = map[string]map[string]bool{
 	"repro":                 {"New": true, "NewEngine": true},
 	"repro/internal/engine": {"New": true, "NewBalancer": true, "NewAutoscaler": true},
-	"repro/internal/remote": {"New": true, "NewBackend": true, "NewBackendWith": true},
+	"repro/internal/remote": {"New": true, "NewBackendWith": true},
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -23,9 +23,10 @@ import (
 //	POST /v1/cache/fill    {"entries":[{"key":"<hex>","value":{...}}, ...], "epoch":E}
 //	  -> {"stored":N,"rejected":M,"epoch":E}
 //
-// Both sides cap a request at maxCacheKeysPerRequest keys/entries and a
-// value at maxRow bytes; a peer answers lookups from its LOCAL store
-// only, so two peers pointed at each other cannot loop a miss.
+// Both sides cap a request at MaxCacheKeys keys/entries and a value at
+// MaxCacheValue bytes, so one row always fits a client's NDJSON line
+// buffer; a peer answers lookups from its LOCAL store only, so two
+// peers pointed at each other cannot loop a miss.
 //
 // Every exchange carries the sender's cache epoch and every reply row
 // the server's. A disagreement — including against a peer predating
@@ -33,45 +34,48 @@ import (
 // a rejected entry on fill, never an error, so a mixed-epoch (or
 // mixed-version) fleet degrades to computing instead of replaying
 // another generation's rows.
-const maxCacheKeysPerRequest = 256
+const (
+	MaxCacheKeys  = 256
+	MaxCacheValue = maxRow
+)
 
 // cacheOpTimeout bounds one cache round-trip. The cache is an
 // accelerator on the dispatch path: a slow peer must degrade to a miss
 // long before it costs what the evaluation it was saving would.
 const cacheOpTimeout = 2 * time.Second
 
-// cacheLookupRequest is the body of POST /v1/cache/lookup.
-type cacheLookupRequest struct {
+// CacheLookupRequest is the body of POST /v1/cache/lookup.
+type CacheLookupRequest struct {
 	Keys  []string `json:"keys"`
 	Epoch uint64   `json:"epoch,omitempty"`
 }
 
-// cacheRow is one NDJSON reply row of /v1/cache/lookup. Value is kept
+// CacheRow is one NDJSON reply row of /v1/cache/lookup. Value is kept
 // raw: the cache stores opaque bytes and only internal/bench knows the
 // row codec. Epoch is the answering server's generation; a found row
 // from another epoch is discarded client-side.
-type cacheRow struct {
+type CacheRow struct {
 	Key   string          `json:"key"`
 	Found bool            `json:"found"`
 	Value json.RawMessage `json:"value,omitempty"`
 	Epoch uint64          `json:"epoch,omitempty"`
 }
 
-// cacheFillEntry is one entry of POST /v1/cache/fill.
-type cacheFillEntry struct {
+// CacheFillEntry is one entry of POST /v1/cache/fill.
+type CacheFillEntry struct {
 	Key   string          `json:"key"`
 	Value json.RawMessage `json:"value"`
 }
 
-// cacheFillRequest is the body of POST /v1/cache/fill.
-type cacheFillRequest struct {
-	Entries []cacheFillEntry `json:"entries"`
+// CacheFillRequest is the body of POST /v1/cache/fill.
+type CacheFillRequest struct {
+	Entries []CacheFillEntry `json:"entries"`
 	Epoch   uint64           `json:"epoch,omitempty"`
 }
 
-// cacheFillReply acknowledges a fill: entries stored, entries refused
+// CacheFillReply acknowledges a fill: entries stored, entries refused
 // over an epoch disagreement, and the server's own epoch.
-type cacheFillReply struct {
+type CacheFillReply struct {
 	Stored   int    `json:"stored"`
 	Rejected int    `json:"rejected,omitempty"`
 	Epoch    uint64 `json:"epoch,omitempty"`
@@ -82,7 +86,7 @@ type cacheFillReply struct {
 // skipped; a line that is not a JSON cache row stops the scan with an
 // error, because a mis-parsed row could replay the wrong value under a
 // caller's key.
-func scanCacheRows(r io.Reader, fn func(cacheRow) bool) error {
+func scanCacheRows(r io.Reader, fn func(CacheRow) bool) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxRow)
 	for sc.Scan() {
@@ -90,7 +94,7 @@ func scanCacheRows(r io.Reader, fn func(cacheRow) bool) error {
 		if len(line) == 0 {
 			continue
 		}
-		var row cacheRow
+		var row CacheRow
 		if err := json.Unmarshal(line, &row); err != nil {
 			return fmt.Errorf("malformed NDJSON cache row %.80q: %w", line, err)
 		}
@@ -158,7 +162,7 @@ func (c *CacheClient) Peer() string { return c.base }
 // Get looks key up on the peer. Any transport or protocol failure
 // degrades to a miss.
 func (c *CacheClient) Get(ctx context.Context, key string) ([]byte, bool) {
-	body, err := json.Marshal(cacheLookupRequest{Keys: []string{key}, Epoch: c.epoch})
+	body, err := json.Marshal(CacheLookupRequest{Keys: []string{key}, Epoch: c.epoch})
 	if err != nil {
 		c.peerErrors.Add(1)
 		return nil, false
@@ -183,7 +187,7 @@ func (c *CacheClient) Get(ctx context.Context, key string) ([]byte, bool) {
 	}
 	var val []byte
 	found, rejected := false, false
-	err = scanCacheRows(io.LimitReader(resp.Body, maxRow+1), func(r cacheRow) bool {
+	err = scanCacheRows(io.LimitReader(resp.Body, maxRow+1), func(r CacheRow) bool {
 		if r.Key == key && r.Found && len(r.Value) > 0 {
 			// A found row from another generation — including a
 			// pre-epoch peer, whose rows read as epoch 0 — is a
@@ -223,22 +227,22 @@ func (c *CacheClient) Put(ctx context.Context, key string, val []byte) {
 }
 
 // PutBatch fills many entries in as few wire rounds as possible — one
-// POST per maxCacheKeysPerRequest chunk — which is how the write-behind
+// POST per MaxCacheKeys chunk — which is how the write-behind
 // worker drains its queue. Entries the wire cannot carry (empty,
 // oversized, or non-JSON values) are skipped; a fill the server
 // rejects over an epoch disagreement is counted, not retried.
 func (c *CacheClient) PutBatch(ctx context.Context, entries []rescache.Entry) {
-	wire := make([]cacheFillEntry, 0, len(entries))
+	wire := make([]CacheFillEntry, 0, len(entries))
 	for _, e := range entries {
-		if len(e.Val) == 0 || len(e.Val) > maxRow || !json.Valid(e.Val) {
+		if len(e.Val) == 0 || len(e.Val) > MaxCacheValue || !json.Valid(e.Val) {
 			continue
 		}
-		wire = append(wire, cacheFillEntry{Key: e.Key, Value: json.RawMessage(e.Val)})
+		wire = append(wire, CacheFillEntry{Key: e.Key, Value: json.RawMessage(e.Val)})
 	}
 	for len(wire) > 0 {
 		chunk := wire
-		if len(chunk) > maxCacheKeysPerRequest {
-			chunk = chunk[:maxCacheKeysPerRequest]
+		if len(chunk) > MaxCacheKeys {
+			chunk = chunk[:MaxCacheKeys]
 		}
 		wire = wire[len(chunk):]
 		c.fill(ctx, chunk)
@@ -246,8 +250,8 @@ func (c *CacheClient) PutBatch(ctx context.Context, entries []rescache.Entry) {
 }
 
 // fill issues one /v1/cache/fill round for a bounded chunk.
-func (c *CacheClient) fill(ctx context.Context, chunk []cacheFillEntry) {
-	body, err := json.Marshal(cacheFillRequest{Entries: chunk, Epoch: c.epoch})
+func (c *CacheClient) fill(ctx context.Context, chunk []CacheFillEntry) {
+	body, err := json.Marshal(CacheFillRequest{Entries: chunk, Epoch: c.epoch})
 	if err != nil {
 		c.peerErrors.Add(1)
 		return
@@ -267,7 +271,7 @@ func (c *CacheClient) fill(ctx context.Context, chunk []cacheFillEntry) {
 		c.peerErrors.Add(1)
 		return
 	}
-	var reply cacheFillReply
+	var reply CacheFillReply
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxRow)).Decode(&reply); err == nil {
 		if reply.Rejected > 0 {
 			c.epochRejects.Add(uint64(reply.Rejected))
@@ -304,50 +308,23 @@ func (c *CacheClient) post(ctx context.Context, path string, body []byte) (*http
 	return c.hc.Do(req)
 }
 
-// ResultCacheConfig assembles a result-cache tier; every zero field
-// selects the package or rescache default.
-type ResultCacheConfig struct {
-	// MaxBytes bounds the local LRU (0 → rescache.DefaultMaxBytes,
-	// negative → unbounded).
-	MaxBytes int64
-	// Peers lists the /v1/cache base URLs of the remote tier.
-	Peers []string
-	// Epoch is the fleet-wide invalidation generation: stamped onto
-	// every wire exchange and reported in Stats.
-	Epoch uint64
-	// FillQueue and DrainTimeout configure the write-behind queue
-	// (see rescache.TieredConfig).
-	FillQueue    int
-	DrainTimeout time.Duration
-}
-
-// NewResultCache assembles the per-process result-cache tier the
-// BackendConfig.Cache knob selects: a bounded local LRU (maxBytes 0
-// selects rescache.DefaultMaxBytes, negative unbounded) fronting one
-// CacheClient per peer URL, composed behind the singleflight Tiered
-// store at epoch 0. With no peers the tier is local-only but keeps the
-// same Stats shape.
-func NewResultCache(maxBytes int64, peerURLs []string) (*rescache.Tiered, error) {
-	return NewResultCacheWith(ResultCacheConfig{MaxBytes: maxBytes, Peers: peerURLs})
-}
-
-// NewResultCacheWith assembles a tier from an explicit configuration —
-// the epoch-aware entry point serve and the CLIs use.
-func NewResultCacheWith(cfg ResultCacheConfig) (*rescache.Tiered, error) {
-	local := rescache.NewLRU(cfg.MaxBytes, 0)
+// NewResultCache assembles the per-process result-cache tier cfg's
+// cache settings select: a bounded local LRU (CacheMaxBytes; 0 selects
+// rescache.DefaultMaxBytes) fronting one CacheClient per CachePeers URL,
+// composed behind the singleflight Tiered store at CacheEpoch. With no
+// peers the tier is local-only but keeps the same Stats shape.
+func NewResultCache(cfg BackendConfig) (*rescache.Tiered, error) {
 	var peers []rescache.Cache
-	for _, p := range cfg.Peers {
-		cc, err := NewCacheClientWith(p, cfg.Epoch)
+	for _, p := range cfg.CachePeers {
+		cc, err := NewCacheClientWith(p, cfg.CacheEpoch)
 		if err != nil {
 			return nil, err
 		}
 		peers = append(peers, cc)
 	}
 	return rescache.NewTieredWith(rescache.TieredConfig{
-		Local:        local,
-		Peers:        peers,
-		Epoch:        cfg.Epoch,
-		FillQueue:    cfg.FillQueue,
-		DrainTimeout: cfg.DrainTimeout,
+		Local: rescache.NewLRU(cfg.CacheMaxBytes, 0),
+		Peers: peers,
+		Epoch: cfg.CacheEpoch,
 	}), nil
 }

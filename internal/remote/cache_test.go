@@ -32,14 +32,14 @@ func (s *cachePeerStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/v1/cache/lookup":
 		s.lookups.Add(1)
-		var req cacheLookupRequest
+		var req CacheLookupRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		enc := json.NewEncoder(w)
 		for _, k := range req.Keys {
-			row := cacheRow{Key: k}
+			row := CacheRow{Key: k}
 			if v, ok := s.store.Get(r.Context(), k); ok {
 				row.Found, row.Value = true, v
 			}
@@ -47,7 +47,7 @@ func (s *cachePeerStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	case "/v1/cache/fill":
 		s.fills.Add(1)
-		var req cacheFillRequest
+		var req CacheFillRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -55,7 +55,7 @@ func (s *cachePeerStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		for _, e := range req.Entries {
 			s.store.Put(r.Context(), e.Key, e.Value)
 		}
-		json.NewEncoder(w).Encode(cacheFillReply{Stored: len(req.Entries)})
+		json.NewEncoder(w).Encode(CacheFillReply{Stored: len(req.Entries)})
 	default:
 		http.NotFound(w, r)
 	}
@@ -161,11 +161,11 @@ func TestNewResultCacheTier(t *testing.T) {
 	srv := httptest.NewServer(peer)
 	defer srv.Close()
 
-	if _, err := NewResultCache(0, []string{"not a url"}); err == nil {
+	if _, err := NewResultCache(BackendConfig{CachePeers: []string{"not a url"}}); err == nil {
 		t.Fatal("bad cache peer URL accepted")
 	}
 
-	tier, err := NewResultCache(0, []string{srv.URL})
+	tier, err := NewResultCache(BackendConfig{CachePeers: []string{srv.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestBackendCacheShortCircuitsEveryTopology(t *testing.T) {
 		{"autoscale front", BackendConfig{Cache: true, AutoscaleMin: 1, AutoscaleMax: 2}},
 	} {
 		cfg := tc.cfg
-		cfg.Engine.Workers = 2
+		cfg.Workers = 2
 		ev, err := NewBackendWith(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

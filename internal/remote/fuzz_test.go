@@ -33,7 +33,7 @@ func FuzzScanRows(f *testing.F) {
 		rows, acks := 0, 0
 		err := scanAckRows(bytes.NewReader(data),
 			func(bench.JobReport) bool { rows++; return true },
-			func(ackRow) bool { acks++; return true })
+			func(SuiteAck) bool { acks++; return true })
 		if err == nil && rows == 0 && acks == 0 && len(bytes.TrimSpace(data)) > 0 {
 			// Every non-blank line must either decode or stop the scan
 			// with an error; swallowing peer bytes silently would let a
@@ -48,7 +48,7 @@ func FuzzScanRows(f *testing.F) {
 		stopped := 0
 		if stopErr := scanAckRows(bytes.NewReader(data),
 			func(bench.JobReport) bool { stopped++; return false },
-			func(ackRow) bool { return true }); stopped > 0 && stopErr != nil {
+			func(SuiteAck) bool { return true }); stopped > 0 && stopErr != nil {
 			t.Fatalf("satisfied scan still errored: %v", stopErr)
 		}
 		if stopped > 1 {
@@ -79,7 +79,7 @@ func FuzzScanCacheRows(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows := 0
-		err := scanCacheRows(bytes.NewReader(data), func(r cacheRow) bool {
+		err := scanCacheRows(bytes.NewReader(data), func(r CacheRow) bool {
 			rows++
 			// A reported value must be valid JSON or absent: anything
 			// else means the parser handed through bytes Unmarshal
@@ -98,7 +98,7 @@ func FuzzScanCacheRows(f *testing.F) {
 
 		// The early-stop path must never error: the first row decided.
 		stopped := 0
-		if stopErr := scanCacheRows(bytes.NewReader(data), func(cacheRow) bool {
+		if stopErr := scanCacheRows(bytes.NewReader(data), func(CacheRow) bool {
 			stopped++
 			return false
 		}); stopped > 0 && stopErr != nil {
@@ -135,7 +135,7 @@ func FuzzScanAckRows(f *testing.F) {
 		rows, acks := 0, 0
 		err := scanAckRows(bytes.NewReader(data),
 			func(bench.JobReport) bool { rows++; return true },
-			func(a ackRow) bool {
+			func(a SuiteAck) bool {
 				if a.Ack == "" {
 					t.Fatal("ack handler called with an empty ack kind")
 				}
@@ -153,7 +153,7 @@ func FuzzScanAckRows(f *testing.F) {
 		stopped := 0
 		if stopErr := scanAckRows(bytes.NewReader(data),
 			func(bench.JobReport) bool { stopped++; return false },
-			func(ackRow) bool { stopped++; return false }); stopped > 0 && stopErr != nil {
+			func(SuiteAck) bool { stopped++; return false }); stopped > 0 && stopErr != nil {
 			t.Fatalf("satisfied scan still errored: %v", stopErr)
 		}
 		if stopped > 1 {

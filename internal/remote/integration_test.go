@@ -85,9 +85,9 @@ func TestMixedLocalRemoteFleetMatchesLocal(t *testing.T) {
 	}
 
 	mixed := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
-		engine.New(engine.Options{Workers: 2, PrivateCaches: true}), client)
+		engine.New(engine.Options{Workers: 2}), client)
 	defer mixed.Close()
-	local := engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+	local := engine.New(engine.Options{Workers: 2})
 	defer local.Close()
 
 	mixedRows := suiteRows(t, mixed, m, techs)
@@ -130,7 +130,7 @@ func TestMixedFleetStream(t *testing.T) {
 	// Width 1 matches the peer's dispatch cap to the local pool, so the
 	// two backends alternate and both carry work.
 	mixed := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1, Width: 1},
-		engine.New(engine.Options{Workers: 1, PrivateCaches: true}), client)
+		engine.New(engine.Options{Workers: 1}), client)
 	defer mixed.Close()
 
 	m := &bench.Manifest{Jobs: []bench.ManifestJob{
@@ -216,9 +216,9 @@ func TestBalancerFleetSurvivesDeadPeer(t *testing.T) {
 	}
 
 	fleet := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
-		live, dead, engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+		live, dead, engine.New(engine.Options{Workers: 2}))
 	defer fleet.Close()
-	local := engine.New(engine.Options{Workers: 2, PrivateCaches: true})
+	local := engine.New(engine.Options{Workers: 2})
 	defer local.Close()
 
 	fleetRows := suiteRows(t, fleet, m, techs)

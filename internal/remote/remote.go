@@ -31,11 +31,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/url"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -286,10 +289,10 @@ func (c *Client) PeerStats(ctx context.Context) (engine.Stats, error) {
 	}, nil
 }
 
-// evalRequest mirrors the POST /v1/eval body (internal/serve's
-// EvalRequest); redefined here to keep serve → remote a one-way
-// dependency.
-type evalRequest struct {
+// EvalRequest is the POST /v1/eval body: one manifest job plus the
+// technologies to estimate it against. The server rejects file jobs — a
+// network request must not read server-side paths.
+type EvalRequest struct {
 	bench.ManifestJob
 	Technologies []string `json:"technologies,omitempty"`
 }
@@ -375,7 +378,7 @@ func specOf(j engine.Job) (*bench.JobSpec, error) {
 // evalOne runs a single job through POST /v1/eval.
 func (c *Client) evalOne(ctx context.Context, j engine.Job, spec *bench.JobSpec) engine.Result {
 	mj := wireJobOf(j, spec)
-	body, err := json.Marshal(evalRequest{ManifestJob: mj, Technologies: spec.Technologies})
+	body, err := json.Marshal(EvalRequest{ManifestJob: mj, Technologies: spec.Technologies})
 	if err != nil {
 		c.failed.Add(1)
 		return engine.Result{ID: j.ID, Err: fmt.Errorf("remote %s: encode job: %w", c.base, err), Worker: -1}
@@ -563,7 +566,7 @@ func (c *Client) ackPost(ctx context.Context, ch wireChunk, jobs []engine.Job, a
 			ack(p.index, c.rowResult(jobs[p.index].ID, &row))
 			return true // scan on to the end ack
 		},
-		func(a ackRow) bool {
+		func(a SuiteAck) bool {
 			if a.Ack == "end" {
 				ended = true
 				return false
@@ -590,12 +593,12 @@ func (c *Client) ackPost(ctx context.Context, ch wireChunk, jobs []engine.Job, a
 	return nil
 }
 
-// ackRow is one acknowledgement line of the ?ack=1 /v1/suite stream
-// variant (internal/serve's suiteAck, redefined here to keep
-// serve → remote a one-way dependency): "start" when the peer accepted
-// the chunk, "end" after the last result row. The end ack's absence is
-// how a severed stream is told apart from a complete one.
-type ackRow struct {
+// SuiteAck is one acknowledgement line of the ?ack=1 /v1/suite stream
+// variant: "start" carries the accepted job count once the peer accepts
+// the chunk, "end" the number of result rows written after the last
+// one. The end ack's absence is how a severed stream is told apart from
+// a complete one.
+type SuiteAck struct {
 	Ack  string `json:"ack"`
 	Jobs int    `json:"jobs,omitempty"`
 	Rows int    `json:"rows,omitempty"`
@@ -609,7 +612,7 @@ type ackRow struct {
 // This is the client's one /v1/suite row parser (a plain stream is one
 // without ack rows), extracted so it can be fuzzed directly against
 // arbitrary peer bytes.
-func scanAckRows(r io.Reader, onRow func(bench.JobReport) bool, onAck func(ackRow) bool) error {
+func scanAckRows(r io.Reader, onRow func(bench.JobReport) bool, onAck func(SuiteAck) bool) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxRow)
 	for sc.Scan() {
@@ -624,7 +627,7 @@ func scanAckRows(r io.Reader, onRow func(bench.JobReport) bool, onAck func(ackRo
 			return fmt.Errorf("malformed NDJSON row %.80q: %w", line, err)
 		}
 		if probe.Ack != "" {
-			var a ackRow
+			var a SuiteAck
 			if err := json.Unmarshal(line, &a); err != nil {
 				return fmt.Errorf("malformed ack row %.80q: %w", line, err)
 			}
@@ -818,10 +821,66 @@ func isConnectError(err error) bool {
 	return errors.Is(err, syscall.ECONNREFUSED)
 }
 
-// SplitPeerList parses a comma-separated peer-URL flag value, dropping
-// blanks so trailing commas are harmless — shared by the art9-batch and
-// art9-serve CLIs.
-func SplitPeerList(s string) []string {
+// FleetFlags registers the fleet flags art9-batch and art9-serve share
+// on fs — one flag per BackendConfig setting, -shards defaulting to
+// defaultShards — and returns the function that resolves them once fs
+// is parsed. Resolving splits the comma-separated URL lists, fills an
+// unset -cache-epoch from ART9_CACHE_EPOCH, drops an untouched -shards
+// default under autoscaling, and vets the result with
+// ValidateFleetFlags. The CLIs report the warning and own JobTimeout,
+// whose flag names differ.
+func FleetFlags(fs *flag.FlagSet, defaultShards int) func() (BackendConfig, string, error) {
+	var cfg BackendConfig
+	var peers, standbyPeers, cachePeers string
+	fs.IntVar(&cfg.Shards, "shards", defaultShards, "local engine shards (0: one, or none when -peers is set)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "worker-pool size per local shard (0: GOMAXPROCS)")
+	fs.StringVar(&peers, "peers", "", "comma-separated base URLs of art9-serve instances to fan jobs out to")
+	fs.BoolVar(&cfg.Failover, "failover", false, "put the health-aware Balancer front (job-level failover) before a lone backend too; more than one backend always gets it")
+	fs.DurationVar(&cfg.HealthInterval, "health-interval", 0, "Balancer health-probe period (0: 2s; negative: probes off); needs a Balancer front")
+	fs.IntVar(&cfg.MaxRetries, "max-retries", 0, "Balancer failover budget per job (0: 2; negative: no retries); needs a Balancer front")
+	fs.IntVar(&cfg.Chunk, "chunk", 0, "Balancer chunk size: dispatch up to N jobs per backend as one acknowledged suite stream (0: per-job); needs a Balancer front")
+	fs.IntVar(&cfg.AutoscaleMin, "autoscale-min", 0, "elastic pool floor: minimum local shards (0 with -autoscale-max: 1)")
+	fs.IntVar(&cfg.AutoscaleMax, "autoscale-max", 0, "elastic pool ceiling: maximum local shards (0: autoscaling off)")
+	fs.StringVar(&standbyPeers, "standby-peers", "", "comma-separated art9-serve base URLs dialed only when the elastic pool's local ceiling is exhausted")
+	fs.Float64Var(&cfg.ScaleUpThreshold, "scale-up", 0, "utilization at which the elastic pool grows (0: 0.8)")
+	fs.Float64Var(&cfg.ScaleDownThreshold, "scale-down", 0, "utilization below which the elastic pool shrinks (0: 0.25)")
+	fs.DurationVar(&cfg.ScaleCooldown, "scale-cooldown", 0, "minimum gap between scale events (0: 2s; negative: none)")
+	fs.DurationVar(&cfg.ScaleInterval, "scale-interval", 0, "scale-evaluation period (0: 1s)")
+	fs.BoolVar(&cfg.Cache, "cache", false, "consult the fleet-wide result cache before evaluating each job (hits replay with worker -1; art9-serve also answers /v1/cache)")
+	fs.StringVar(&cachePeers, "cache-peers", "", "comma-separated art9-serve base URLs whose /v1/cache tier answers local misses and receives local fills")
+	fs.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "local result-cache bound in bytes (0: 64 MiB)")
+	fs.Uint64Var(&cfg.CacheEpoch, "cache-epoch", 0, "cache invalidation generation: exchanges with peers on another epoch are standing misses (default: ART9_CACHE_EPOCH, else 0)")
+	return func() (BackendConfig, string, error) {
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		out := cfg
+		out.Peers = splitPeerList(peers)
+		out.StandbyPeers = splitPeerList(standbyPeers)
+		out.CachePeers = splitPeerList(cachePeers)
+		// ART9_CACHE_EPOCH is the fleet-wide invalidation lever — export
+		// it once and restart every member. An explicit flag wins; the
+		// variable is ignored while -cache is off, so a site-wide export
+		// cannot trip the orphaned-flag rule; a malformed value leaves
+		// the epoch at 0 rather than blocking startup.
+		if out.Cache && !set["cache-epoch"] {
+			if n, err := strconv.ParseUint(os.Getenv("ART9_CACHE_EPOCH"), 10, 64); err == nil {
+				out.CacheEpoch = n
+			}
+		}
+		// A -shards default describes the fixed topologies only; an
+		// elastic pool owns its shard count, so an untouched default must
+		// not trip the -shards/-autoscale conflict rule.
+		if (out.AutoscaleMin != 0 || out.AutoscaleMax != 0) && !set["shards"] {
+			out.Shards = 0
+		}
+		warn, err := ValidateFleetFlags(out)
+		return out, warn, err
+	}
+}
+
+// splitPeerList parses a comma-separated peer-URL flag value, dropping
+// blanks so trailing commas are harmless.
+func splitPeerList(s string) []string {
 	var out []string
 	for _, p := range strings.Split(s, ",") {
 		if p = strings.TrimSpace(p); p != "" {
@@ -875,9 +934,8 @@ func ValidateConfig(cfg BackendConfig) (warning string, err error) {
 }
 
 // ValidateFleetFlags vets the same rule set with CLI flag naming — the
-// one validation behind both art9-batch and art9-serve. Each CLI folds
-// its flag values into a BackendConfig (its -shards default rides in as
-// Shards) and reports the warning on stderr.
+// one validation behind both art9-batch and art9-serve, applied by
+// FleetFlags once the flags are parsed.
 func ValidateFleetFlags(cfg BackendConfig) (warning string, err error) {
 	return validateTopology(cfg, flagNames)
 }
@@ -1030,15 +1088,21 @@ func balancerFront(cfg BackendConfig) bool {
 	return shards+len(cfg.Peers) > 1 || (shards == 0 && (cfg.Cache || cfg.CacheStore != nil))
 }
 
-// BackendConfig describes the backend topology NewBackendWith builds —
-// the one place the composition rules live so art9.New and serve.New
-// cannot drift.
+// BackendConfig is the one description of a backend topology: art9.New's
+// options and FleetFlags write into it, serve.Config is an alias of it,
+// and NewBackendWith builds it — so the composition rules and each
+// setting's documentation live in one place.
 type BackendConfig struct {
 	// Shards is the number of local engines (0: one, unless Peers makes
 	// a proxy-only topology meaningful).
 	Shards int
-	// Engine configures each local shard.
-	Engine engine.Options
+	// Workers is each local shard's pool size (0 selects GOMAXPROCS),
+	// Queue its dispatch-queue depth (0 selects 2×Workers), and
+	// JobTimeout the bound on each local job that sets none of its own
+	// (0: no deadline).
+	Workers    int
+	Queue      int
+	JobTimeout time.Duration
 	// Peers lists art9-serve base URLs, one remote Client each.
 	Peers []string
 	// Failover puts the health-aware engine.Balancer (least-loaded
@@ -1096,20 +1160,11 @@ type BackendConfig struct {
 	CacheStore rescache.Cache
 }
 
-// NewBackend assembles the standard backend topology shared by art9.New
-// and serve.New: localShards engines configured by opts plus one Client
-// per peer URL, composed behind a Balancer when there is more than one
-// backend. Cache fields go private exactly when backends multiply, so a
-// solitary local pool keeps the process-wide shared caches. With zero
-// shards and zero peers it falls back to one local engine.
-func NewBackend(localShards int, opts engine.Options, peers []string) (engine.Evaluator, error) {
-	return NewBackendWith(BackendConfig{Shards: localShards, Engine: opts, Peers: peers})
-}
-
-// NewBackendWith is NewBackend with the full topology configuration,
-// including the health-aware failover front and the elastic autoscaler
-// front. Incoherent configurations are rejected through ValidateConfig
-// with an error wrapping engine.ErrInvalidOptions.
+// NewBackendWith assembles the backend topology cfg describes — local
+// engines, one Client per peer URL, and the Balancer or Autoscaler
+// front — shared by art9.New, serve.New and art9-batch. Incoherent
+// configurations are rejected through ValidateConfig with an error
+// wrapping engine.ErrInvalidOptions.
 func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 	if _, err := ValidateConfig(cfg); err != nil {
 		return nil, err
@@ -1122,11 +1177,7 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 	if cfg.Cache || cfg.CacheStore != nil {
 		store := cfg.CacheStore
 		if store == nil {
-			tier, err := NewResultCacheWith(ResultCacheConfig{
-				MaxBytes: cfg.CacheMaxBytes,
-				Peers:    cfg.CachePeers,
-				Epoch:    cfg.CacheEpoch,
-			})
+			tier, err := NewResultCache(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -1134,6 +1185,7 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 		}
 		resultCache = bench.NewResultCache(store)
 	}
+	opts := engine.Options{Workers: cfg.Workers, Queue: cfg.Queue, JobTimeout: cfg.JobTimeout}
 	if cfg.AutoscaleMin != 0 || cfg.AutoscaleMax != 0 {
 		var standbys []engine.StandbyBackend
 		for _, p := range cfg.StandbyPeers {
@@ -1156,7 +1208,7 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 		return engine.NewAutoscaler(engine.AutoscalerOptions{
 			Min:           cfg.AutoscaleMin,
 			Max:           cfg.AutoscaleMax,
-			Engine:        cfg.Engine,
+			Engine:        opts,
 			Standby:       standbys,
 			UpThreshold:   cfg.ScaleUpThreshold,
 			DownThreshold: cfg.ScaleDownThreshold,
@@ -1166,8 +1218,6 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 		}), nil
 	}
 	shards, front := localShards(cfg), balancerFront(cfg)
-	opts := cfg.Engine
-	opts.PrivateCaches = shards+len(cfg.Peers) > 1
 	if !front {
 		// A lone local engine is its own front and holds the cache.
 		opts.Cache = resultCache

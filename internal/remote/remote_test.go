@@ -599,7 +599,7 @@ func TestRunReportForUsesLocalCounters(t *testing.T) {
 
 	c := mustClient(t, ts.URL)
 	set := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
-		engine.New(engine.Options{Workers: 1, PrivateCaches: true}), c)
+		engine.New(engine.Options{Workers: 1}), c)
 	defer set.Close()
 	jobs := []engine.Job{
 		{ID: "local", Fn: func(context.Context) (any, error) { return 1, nil },

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/remote"
 )
 
 func postJSON(t *testing.T, url string, body string) *http.Response {
@@ -97,7 +98,7 @@ func TestCacheEndpointsAbsentWithoutCache(t *testing.T) {
 func TestCacheRequestLimitsAndMethods(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Cache: true})
 
-	keys := make([]string, maxCacheKeys+1)
+	keys := make([]string, remote.MaxCacheKeys+1)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("\"k%d\"", i)
 	}

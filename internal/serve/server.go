@@ -57,79 +57,13 @@ const maxBody = 4 << 20
 // proportionally to its own size before any evaluation runs.
 const maxSuiteJobs = 1024
 
-// Caps for one /v1/cache request, mirrored by internal/remote's cache
-// client (redefined there to keep serve → remote a one-way dependency):
-// at most maxCacheKeys keys or entries per request, values no larger
-// than maxCacheValue bytes so one row always fits a client's NDJSON
-// line buffer.
-const (
-	maxCacheKeys  = 256
-	maxCacheValue = 1 << 20
-)
-
-// Config sizes the server's evaluation back end.
-type Config struct {
-	// Shards is the number of local engines. 0 selects one — unless
-	// Peers is non-empty, where 0 means proxy-only (no local pool).
-	Shards int
-	// Workers is the per-shard pool size; 0 selects GOMAXPROCS.
-	Workers int
-	// JobTimeout bounds each local evaluation job; 0 means no deadline.
-	JobTimeout time.Duration
-	// Peers lists base URLs of downstream art9-serve instances to fan
-	// jobs out to alongside the local shards (serve→serve proxying).
-	// Do not point a fleet at itself — a cycle proxies forever.
-	Peers []string
-	// Failover puts the health-aware engine.Balancer — least-loaded
-	// dispatch, a periodic health-probe loop, and job-level failover
-	// re-running jobs a dying backend dropped — in front of a lone
-	// backend too. More than one backend, or a lone peer with Cache on,
-	// always gets the Balancer front.
-	Failover bool
-	// HealthInterval is the Balancer's probe period and MaxRetries its
-	// per-job failover budget (engine defaults at zero); both need a
-	// Balancer front.
-	HealthInterval time.Duration
-	MaxRetries     int
-	// Chunk makes the Balancer dispatch in chunks of up to this many
-	// jobs (acknowledged /v1/suite streams to downstream peers) instead
-	// of per-job placement, sized down by live capacity. Needs a
-	// Balancer front.
-	Chunk int
-	// AutoscaleMin/AutoscaleMax select the elastic engine.Autoscaler
-	// front instead of a fixed topology: local shards float between the
-	// bounds, growing under queued load and draining every retired
-	// member before it closes. Mutually exclusive with Shards, Peers
-	// and Failover.
-	AutoscaleMin int
-	AutoscaleMax int
-	// StandbyPeers lists downstream art9-serve base URLs the autoscaler
-	// dials only once the local ceiling is exhausted, and retires first
-	// when load drops.
-	StandbyPeers []string
-	// ScaleUpThreshold/ScaleDownThreshold, ScaleCooldown and
-	// ScaleInterval tune the autoscaler's hysteresis (engine defaults
-	// at zero); all ignored without AutoscaleMin/AutoscaleMax.
-	ScaleUpThreshold   float64
-	ScaleDownThreshold float64
-	ScaleCooldown      time.Duration
-	ScaleInterval      time.Duration
-	// Cache enables the fleet-wide result cache: the dispatch path
-	// consults a content-addressed store before placing a job, and the
-	// /v1/cache/{lookup,fill} endpoints expose this instance's local
-	// store to sibling serve instances. CacheMaxBytes bounds the local
-	// store (0 selects the rescache default); CachePeers lists sibling
-	// base URLs whose /v1/cache tier is consulted on a local miss and
-	// filled on a local compute. CacheEpoch is the fleet-wide
-	// invalidation generation: every /v1/cache exchange carries it and
-	// a disagreement is a standing miss (lookup) or a rejected entry
-	// (fill), so restarting with a bumped epoch abandons every
-	// previously cached row fleet-wide. All three require Cache.
-	Cache         bool
-	CacheMaxBytes int64
-	CachePeers    []string
-	CacheEpoch    uint64
-}
+// Config sizes the server's evaluation back end. It is the one topology
+// description, remote.BackendConfig: Shards 0 selects one local engine
+// unless Peers makes the server a proxy-only front, and Cache also
+// mounts the /v1/cache endpoints, which answer sibling lookups and fills
+// from this instance's local store. Do not point a fleet at itself — a
+// Peers cycle proxies forever.
+type Config = remote.BackendConfig
 
 // Server owns an Evaluator backend and serves the /v1 API. Create with
 // New, mount via Handler, release with Close.
@@ -153,59 +87,34 @@ type Server struct {
 	cacheEpochRejects atomic.Uint64
 }
 
-// New starts the evaluation back end: local engine shards, remote
-// clients for cfg.Peers, or a Balancer over a mix of both. The backend (and
-// the process-wide program/analysis caches the bench jobs share) lives
-// for the server's lifetime, so every request after the first reuses
-// prior work. Fails only on an invalid peer URL.
+// New starts the evaluation back end cfg describes — local engine
+// shards, remote clients for cfg.Peers, or a Balancer or Autoscaler
+// front over them — and, with cfg.Cache, the result-cache tier it shares
+// with the /v1/cache endpoints. The backend (and the process-wide
+// program/analysis caches the bench jobs share) lives for the server's
+// lifetime, so every request after the first reuses prior work. Fails
+// on an invalid peer URL and, wrapping engine.ErrInvalidOptions, on an
+// incoherent configuration.
 func New(cfg Config) (*Server, error) {
-	// remote.NewBackendWith owns the defaulting (one local shard unless
-	// peers make a proxy-only topology meaningful) and the failover
-	// composition.
-	bc := remote.BackendConfig{
-		Shards: cfg.Shards,
-		Engine: engine.Options{
-			Workers:    cfg.Workers,
-			JobTimeout: cfg.JobTimeout,
-		},
-		Peers:              cfg.Peers,
-		Failover:           cfg.Failover,
-		HealthInterval:     cfg.HealthInterval,
-		MaxRetries:         cfg.MaxRetries,
-		Chunk:              cfg.Chunk,
-		AutoscaleMin:       cfg.AutoscaleMin,
-		AutoscaleMax:       cfg.AutoscaleMax,
-		StandbyPeers:       cfg.StandbyPeers,
-		ScaleUpThreshold:   cfg.ScaleUpThreshold,
-		ScaleDownThreshold: cfg.ScaleDownThreshold,
-		ScaleCooldown:      cfg.ScaleCooldown,
-		ScaleInterval:      cfg.ScaleInterval,
-		Cache:              cfg.Cache,
-		CacheMaxBytes:      cfg.CacheMaxBytes,
-		CachePeers:         cfg.CachePeers,
-		CacheEpoch:         cfg.CacheEpoch,
-	}
 	// Validate before building the tier so an incoherent cache config
 	// fails with the shared rule set's diagnostic, not a partial build.
-	if _, err := remote.ValidateConfig(bc); err != nil {
+	if _, err := remote.ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
 	var tier *rescache.Tiered
 	if cfg.Cache {
 		var err error
-		tier, err = remote.NewResultCacheWith(remote.ResultCacheConfig{
-			MaxBytes: cfg.CacheMaxBytes,
-			Peers:    cfg.CachePeers,
-			Epoch:    cfg.CacheEpoch,
-		})
+		tier, err = remote.NewResultCache(cfg)
 		if err != nil {
 			return nil, err
 		}
 		// The server and its dispatch path share one tier: what the
 		// backend computes, /v1/cache/lookup can answer for siblings.
-		bc.CacheStore = tier
+		cfg.CacheStore = tier
 	}
-	backend, err := remote.NewBackendWith(bc)
+	// remote.NewBackendWith owns the defaulting (one local shard unless
+	// peers make a proxy-only topology meaningful) and the composition.
+	backend, err := remote.NewBackendWith(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -266,14 +175,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/v1/cache/fill", s.handleCacheFill)
 	}
 	return mux
-}
-
-// EvalRequest is the POST /v1/eval body: one manifest job plus the
-// technologies to estimate it against. File jobs are rejected — a
-// network request must not read server-side paths.
-type EvalRequest struct {
-	bench.ManifestJob
-	Technologies []string `json:"technologies,omitempty"`
 }
 
 // StatsReply is the GET /v1/stats body. Balancer is present exactly
@@ -411,7 +312,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodPost)
 		return
 	}
-	var req EvalRequest
+	var req remote.EvalRequest
 	if err := readJSON(w, r, &req); err != nil {
 		writeError(w, bodyErrStatus(err), err)
 		return
@@ -513,7 +414,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	clientGone := false
 	if acked {
-		if err := enc.Encode(suiteAck{Ack: "start", Jobs: len(jobs)}); err != nil {
+		if err := enc.Encode(remote.SuiteAck{Ack: "start", Jobs: len(jobs)}); err != nil {
 			clientGone = true
 		}
 		flush()
@@ -534,57 +435,9 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		flush()
 	}
 	if acked && !clientGone {
-		enc.Encode(suiteAck{Ack: "end", Rows: rows})
+		enc.Encode(remote.SuiteAck{Ack: "end", Rows: rows})
 		flush()
 	}
-}
-
-// suiteAck is one acknowledgement line of the ?ack=1 /v1/suite stream:
-// "start" carries the accepted job count, "end" the number of result
-// rows written. Mirrored by internal/remote's ackRow (redefined there
-// to keep serve → remote a one-way dependency).
-type suiteAck struct {
-	Ack  string `json:"ack"`
-	Jobs int    `json:"jobs,omitempty"`
-	Rows int    `json:"rows,omitempty"`
-}
-
-// cacheLookupRequest is the POST /v1/cache/lookup body. Mirrored by
-// internal/remote's cache client (redefined there to keep serve →
-// remote a one-way dependency), like suiteAck. Epoch is the caller's
-// cache generation; a disagreement answers every key as a miss.
-type cacheLookupRequest struct {
-	Keys  []string `json:"keys"`
-	Epoch uint64   `json:"epoch,omitempty"`
-}
-
-// cacheRow is one NDJSON reply row of /v1/cache/lookup, stamped with
-// this server's epoch so the client can refuse cross-generation rows.
-type cacheRow struct {
-	Key   string          `json:"key"`
-	Found bool            `json:"found"`
-	Value json.RawMessage `json:"value,omitempty"`
-	Epoch uint64          `json:"epoch,omitempty"`
-}
-
-// cacheFillEntry is one entry of the POST /v1/cache/fill body.
-type cacheFillEntry struct {
-	Key   string          `json:"key"`
-	Value json.RawMessage `json:"value"`
-}
-
-// cacheFillRequest is the POST /v1/cache/fill body.
-type cacheFillRequest struct {
-	Entries []cacheFillEntry `json:"entries"`
-	Epoch   uint64           `json:"epoch,omitempty"`
-}
-
-// cacheFillReply acknowledges a fill: entries stored, entries refused
-// over an epoch disagreement, and this server's epoch.
-type cacheFillReply struct {
-	Stored   int    `json:"stored"`
-	Rejected int    `json:"rejected,omitempty"`
-	Epoch    uint64 `json:"epoch,omitempty"`
 }
 
 // handleCacheLookup answers sibling lookups from the LOCAL store only —
@@ -599,14 +452,14 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodPost)
 		return
 	}
-	var req cacheLookupRequest
+	var req remote.CacheLookupRequest
 	if err := readJSON(w, r, &req); err != nil {
 		writeError(w, bodyErrStatus(err), err)
 		return
 	}
-	if len(req.Keys) > maxCacheKeys {
+	if len(req.Keys) > remote.MaxCacheKeys {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("cache lookup: %d keys exceeds the per-request limit of %d", len(req.Keys), maxCacheKeys))
+			fmt.Errorf("cache lookup: %d keys exceeds the per-request limit of %d", len(req.Keys), remote.MaxCacheKeys))
 		return
 	}
 	epoch := s.cache.Epoch()
@@ -616,7 +469,7 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		enc := json.NewEncoder(w)
 		for _, k := range req.Keys {
-			if err := enc.Encode(cacheRow{Key: k, Epoch: epoch}); err != nil {
+			if err := enc.Encode(remote.CacheRow{Key: k, Epoch: epoch}); err != nil {
 				return
 			}
 		}
@@ -627,7 +480,7 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	for _, k := range req.Keys {
-		row := cacheRow{Key: k, Epoch: epoch}
+		row := remote.CacheRow{Key: k, Epoch: epoch}
 		if v, ok := local.Get(r.Context(), k); ok {
 			row.Found, row.Value = true, v
 		}
@@ -650,32 +503,32 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodPost)
 		return
 	}
-	var req cacheFillRequest
+	var req remote.CacheFillRequest
 	if err := readJSON(w, r, &req); err != nil {
 		writeError(w, bodyErrStatus(err), err)
 		return
 	}
-	if len(req.Entries) > maxCacheKeys {
+	if len(req.Entries) > remote.MaxCacheKeys {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("cache fill: %d entries exceeds the per-request limit of %d", len(req.Entries), maxCacheKeys))
+			fmt.Errorf("cache fill: %d entries exceeds the per-request limit of %d", len(req.Entries), remote.MaxCacheKeys))
 		return
 	}
 	epoch := s.cache.Epoch()
 	if req.Epoch != epoch {
 		s.cacheEpochRejects.Add(uint64(len(req.Entries)))
-		writeJSON(w, http.StatusOK, cacheFillReply{Rejected: len(req.Entries), Epoch: epoch})
+		writeJSON(w, http.StatusOK, remote.CacheFillReply{Rejected: len(req.Entries), Epoch: epoch})
 		return
 	}
 	local := s.cache.Local()
 	stored := 0
 	for _, e := range req.Entries {
-		if e.Key == "" || len(e.Value) == 0 || len(e.Value) > maxCacheValue || !json.Valid(e.Value) {
+		if e.Key == "" || len(e.Value) == 0 || len(e.Value) > remote.MaxCacheValue || !json.Valid(e.Value) {
 			continue
 		}
 		local.Put(r.Context(), e.Key, e.Value)
 		stored++
 	}
-	writeJSON(w, http.StatusOK, cacheFillReply{Stored: stored, Epoch: epoch})
+	writeJSON(w, http.StatusOK, remote.CacheFillReply{Stored: stored, Epoch: epoch})
 }
 
 // readBody reads a request body under the maxBody cap; oversize bodies

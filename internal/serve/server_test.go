@@ -655,7 +655,7 @@ func TestSuiteFailoverSurvivesDyingBackend(t *testing.T) {
 	// deterministic mid-suite failure under any scheduling.
 	flaky := faulttest.New("dying-leaf").Width(2).FailAfter(1, nil)
 	bal := engine.NewBalancer(engine.BalancerOptions{HealthInterval: -1},
-		flaky, engine.New(engine.Options{Workers: 2, PrivateCaches: true}))
+		flaky, engine.New(engine.Options{Workers: 2}))
 	s := NewWithBackend(bal)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
