@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/ternary"
 	"repro/internal/xlate"
 )
 
@@ -62,7 +61,6 @@ func main() {
 			100*(1-float64(trits)/float64(rvBits)))
 		fmt.Fprintf(os.Stderr, "redundancy removed  %d instructions\n",
 			res.Ternary.Removed)
-		_ = ternary.WordTrits
 	}
 }
 

@@ -18,10 +18,20 @@
 //	.space N             ; reserve N zero words
 //	.equ NAME, N         ; assemble-time constant
 //
+// Operands follow isa.Op.Operands: Ta, Tb, the condition trit, then the
+// immediate. An immediate may name a label or an .equ constant; branch
+// and JAL targets name labels. The condition trit, .org, .space and .equ
+// values are constants: a literal or an .equ defined above.
+//
 // Branch operands may be numeric offsets or labels; label branches that do
 // not reach are relaxed automatically (inverted branch over a JAL, or an
-// absolute LDA+JALR for far targets) using a scratch register that defaults
-// to T8.
+// absolute LDA+JALR for far targets) using the scratch register T8, which
+// is also the translator's ABI scratch. No section may pass the 3^9 words
+// a 9-trit address reaches.
+//
+// The assembler works on typed statements (Line): Assemble parses source
+// into them, AssembleLines assembles them directly, and Print renders them
+// back as source that assembles to the same program.
 package asm
 
 import (
@@ -51,54 +61,117 @@ type Program struct {
 // instructions occupy — the Fig. 5 metric for ART-9.
 func (p *Program) TextCells() int { return len(p.Text) * ternary.WordTrits }
 
-// Options configure assembly.
-type Options struct {
-	// ScratchReg is the register used by branch relaxation and by the
-	// LDA/far-jump pseudos. Defaults to T8.
-	ScratchReg isa.Reg
-	// NoRelax disables branch relaxation: out-of-range label branches
-	// become errors instead.
-	NoRelax bool
+// scratch is the register branch relaxation, far jumps and HALT use.
+const scratch = isa.Reg(8)
+
+// Mnemonic is what a Line assembles: one of the 24 Table I instructions
+// (see Instr), one of the four pseudo-instructions, or, as the zero
+// value, nothing — a line that only carries a label.
+type Mnemonic uint8
+
+// The pseudo-instructions, numbered after the Table I instructions.
+const (
+	NOP Mnemonic = isa.NumOps + 1 + iota
+	HALT
+	LDI
+	LDA
+
+	// Directives, which only the parser produces.
+	dirText
+	dirData
+	dirWord // one value: Imm or Target
+	dirSpace
+	dirOrg
+	dirEqu // Target names the constant, Imm holds its value
+	numMnemonics
+)
+
+// Instr returns the mnemonic of a Table I instruction.
+func Instr(op isa.Op) Mnemonic { return Mnemonic(op) + 1 }
+
+// Op returns the Table I instruction m names, if it names one.
+func (m Mnemonic) Op() (isa.Op, bool) {
+	if m >= 1 && m <= isa.NumOps {
+		return isa.Op(m - 1), true
+	}
+	return 0, false
 }
 
-// Assemble assembles src with default options.
-func Assemble(src string) (*Program, error) { return AssembleOpts(src, Options{ScratchReg: 8}) }
+var mnemonicNames = [numMnemonics]string{
+	NOP: "NOP", HALT: "HALT", LDI: "LDI", LDA: "LDA",
+	dirText: ".text", dirData: ".data", dirWord: ".word",
+	dirSpace: ".space", dirOrg: ".org", dirEqu: ".equ",
+}
 
-// AssembleOpts assembles src with explicit options.
-func AssembleOpts(src string, opts Options) (*Program, error) {
-	a := &assembler{opts: opts, equ: map[string]int{}, labels: map[string]int{}}
-	if err := a.parse(src); err != nil {
+// String returns the source spelling of m ("" for a label-only line).
+func (m Mnemonic) String() string {
+	if op, ok := m.Op(); ok {
+		return op.String()
+	}
+	if m < numMnemonics {
+		return mnemonicNames[m]
+	}
+	return fmt.Sprintf("Mnemonic(%d)", uint8(m))
+}
+
+var (
+	ldOperands  = []isa.Operand{isa.OperandTa, isa.OperandImm}
+	immOperands = []isa.Operand{isa.OperandImm}
+)
+
+// operands returns m's operand fields in source order.
+func (m Mnemonic) operands() []isa.Operand {
+	if op, ok := m.Op(); ok {
+		return op.Operands()
+	}
+	switch m {
+	case LDI, LDA:
+		return ldOperands
+	case dirWord, dirSpace, dirOrg, dirEqu:
+		return immOperands
+	}
+	return nil
+}
+
+// Line is one assembly statement in typed form: a Table I instruction or
+// pseudo with its operands resolved, plus an optional label bound to its
+// location. Operand fields that Op does not take are zero. The
+// translator builds Lines directly; the parser builds them from source.
+type Line struct {
+	Label  string   // label bound to this line ("" if none)
+	Op     Mnemonic // zero for a label-only line
+	Ta, Tb isa.Reg
+	B      ternary.Trit
+	Imm    int
+	Target string // symbolic immediate (label or .equ); when set, Imm is ignored
+}
+
+// Assemble assembles src.
+func Assemble(src string) (*Program, error) {
+	lines, srcLines, err := parse(src)
+	if err != nil {
 		return nil, err
 	}
+	return assemble(lines, srcLines)
+}
+
+// AssembleLines assembles typed statements; errors and Program.Lines
+// number them from 1.
+func AssembleLines(lines []Line) (*Program, error) {
+	srcLines := make([]int, len(lines))
+	for i := range srcLines {
+		srcLines[i] = i + 1
+	}
+	return assemble(lines, srcLines)
+}
+
+func assemble(lines []Line, srcLines []int) (*Program, error) {
+	a := &assembler{lines: lines, srcLine: srcLines, equ: map[string]int{}}
 	if err := a.layout(); err != nil {
 		return nil, err
 	}
 	return a.emit()
 }
-
-// statement is one parsed source statement bound to its location.
-type statement struct {
-	line int // 1-based source line
-	kind stmtKind
-
-	// instruction statements
-	mnemonic string
-	args     []string
-
-	// directive payloads
-	values []string // .word
-	count  int      // .space / .org target
-	name   string   // .equ
-}
-
-type stmtKind uint8
-
-const (
-	stInst stmtKind = iota
-	stWord
-	stSpace
-	stOrg
-)
 
 type section uint8
 
@@ -107,33 +180,21 @@ const (
 	secData
 )
 
-// item is a laid-out unit: an instruction group (a source statement that
-// expands to one or more machine instructions) or data words.
-type item struct {
-	stmt    *statement
-	sec     section
-	addr    int // location counter at start of item
-	size    int // words occupied (instructions for text)
-	relaxed int // relaxation level for branches: 0 short, 1 medium, 2 far
-}
-
 type assembler struct {
-	opts   Options
-	stmts  []*statement
-	secOf  []section // parallel to stmts
-	equ    map[string]int
-	labels map[string]int // name -> address (filled during layout)
-	// label declarations in source order: (name, stmt index, section)
-	labelDecls []labelDecl
-	items      []*item
-	errs       errList
-}
+	lines   []Line
+	srcLine []int // 1-based source line of each Line
+	equ     map[string]int
+	labels  map[string]int // name -> address (filled during layout)
 
-type labelDecl struct {
-	name string
-	idx  int // index into stmts of the following statement (== len at EOF)
-	sec  section
-	line int
+	// Per-line layout, parallel to lines.
+	sec   []section // section the line sits in (before any switch it makes)
+	addr  []int     // location counter at the start of the line
+	size  []int     // words occupied at the current relaxation level
+	level []int     // relaxation level of label branches and jumps
+
+	textLen int // TIM words the layout occupies
+
+	errs errList
 }
 
 type errList []error
@@ -156,124 +217,9 @@ func (e errList) or() error {
 	return e
 }
 
-func (a *assembler) errorf(line int, format string, args ...interface{}) {
-	a.errs = append(a.errs, fmt.Errorf("line %d: %s", line, fmt.Sprintf(format, args...)))
-}
-
-// parse splits the source into statements, labels and .equ definitions.
-func (a *assembler) parse(src string) error {
-	sec := secText
-	for ln, raw := range strings.Split(src, "\n") {
-		line := ln + 1
-		s := stripComment(raw)
-		// Peel off any leading labels (several may share a line).
-		for {
-			s = strings.TrimSpace(s)
-			i := strings.Index(s, ":")
-			if i < 0 {
-				break
-			}
-			name := strings.TrimSpace(s[:i])
-			if !isIdent(name) {
-				break
-			}
-			a.labelDecls = append(a.labelDecls, labelDecl{name, len(a.stmts), sec, line})
-			s = s[i+1:]
-		}
-		if s == "" {
-			continue
-		}
-		fields := splitOperands(s)
-		head := strings.ToUpper(fields[0])
-		args := fields[1:]
-		switch head {
-		case ".TEXT":
-			sec = secText
-		case ".DATA":
-			sec = secData
-		case ".EQU":
-			if len(args) != 2 {
-				a.errorf(line, ".equ wants NAME, VALUE")
-				continue
-			}
-			if !isIdent(args[0]) {
-				a.errorf(line, ".equ: invalid name %q", args[0])
-				continue
-			}
-			v, err := a.evalConst(args[1], line)
-			if err != nil {
-				a.errs = append(a.errs, err)
-				continue
-			}
-			if _, dup := a.equ[args[0]]; dup {
-				a.errorf(line, ".equ: duplicate constant %q", args[0])
-				continue
-			}
-			a.equ[args[0]] = v
-		case ".WORD":
-			if len(args) == 0 {
-				a.errorf(line, ".word wants at least one value")
-				continue
-			}
-			a.stmts = append(a.stmts, &statement{line: line, kind: stWord, values: args})
-			a.secOf = append(a.secOf, sec)
-		case ".SPACE", ".ORG":
-			if len(args) != 1 {
-				a.errorf(line, "%s wants one value", strings.ToLower(head))
-				continue
-			}
-			v, err := a.evalConst(args[0], line)
-			if err != nil {
-				a.errs = append(a.errs, err)
-				continue
-			}
-			if v < 0 {
-				a.errorf(line, "%s: negative value %d", strings.ToLower(head), v)
-				continue
-			}
-			kind := stSpace
-			if head == ".ORG" {
-				kind = stOrg
-			}
-			a.stmts = append(a.stmts, &statement{line: line, kind: kind, count: v})
-			a.secOf = append(a.secOf, sec)
-		default:
-			if strings.HasPrefix(head, ".") {
-				a.errorf(line, "unknown directive %s", fields[0])
-				continue
-			}
-			a.stmts = append(a.stmts, &statement{line: line, kind: stInst, mnemonic: head, args: args})
-			a.secOf = append(a.secOf, sec)
-		}
-	}
-	return a.errs.or()
-}
-
-// stripComment removes ;, # and // comments.
-func stripComment(s string) string {
-	for _, sep := range []string{";", "#", "//"} {
-		if i := strings.Index(s, sep); i >= 0 {
-			s = s[:i]
-		}
-	}
-	return s
-}
-
-// splitOperands splits "OP a, b, c" into ["OP", "a", "b", "c"].
-func splitOperands(s string) []string {
-	s = strings.TrimSpace(s)
-	i := strings.IndexAny(s, " \t")
-	if i < 0 {
-		return []string{s}
-	}
-	out := []string{s[:i]}
-	for _, f := range strings.Split(s[i:], ",") {
-		f = strings.TrimSpace(f)
-		if f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
+// errorf records an error against line i of the input.
+func (a *assembler) errorf(i int, format string, args ...interface{}) {
+	a.errs = append(a.errs, fmt.Errorf("line %d: %s", a.srcLine[i], fmt.Sprintf(format, args...)))
 }
 
 func isIdent(s string) bool {

@@ -247,6 +247,12 @@ func TestBranchRelaxationFar(t *testing.T) {
 	if p.Text[1].Op != isa.LUI || p.Text[2].Op != isa.LI || p.Text[3].Op != isa.JALR {
 		t.Fatalf("far sequence = %v %v %v", p.Text[1], p.Text[2], p.Text[3])
 	}
+	// Relaxation builds the address in T8, the translator's ABI scratch.
+	for k := 1; k <= 3; k++ {
+		if p.Text[k].Ta != 8 {
+			t.Errorf("far sequence word %d = %v, want scratch T8", k, p.Text[k])
+		}
+	}
 	// The LUI/LI pair must build the absolute target address.
 	w := ternary.Word{}.SetField(5, 8, p.Text[1].Imm)
 	low := ternary.Word{}.SetField(0, 4, p.Text[2].Imm)
@@ -296,18 +302,6 @@ func TestErrors(t *testing.T) {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("Assemble(%q) succeeded, want error", src)
 		}
-	}
-}
-
-func TestNoRelaxErrors(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("BEQ T1, 0, far\n")
-	for i := 0; i < 300; i++ {
-		b.WriteString("NOP\n")
-	}
-	b.WriteString("far: HALT\n")
-	if _, err := AssembleOpts(b.String(), Options{ScratchReg: 8, NoRelax: true}); err == nil {
-		t.Error("NoRelax far branch assembled without error")
 	}
 }
 
@@ -369,5 +363,32 @@ func TestMultipleErrorsReported(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("second error not reported: %v", err)
+	}
+}
+
+// TestAddressSpaceLimit: a 9-trit address reaches 3^9 words, so a
+// section whose location counter passes that is rejected at its line
+// instead of growing an image no core can load.
+func TestAddressSpaceLimit(t *testing.T) {
+	for _, src := range []string{
+		".space 30000\nHALT",
+		".org 30000\nHALT",
+		".space 19683\nHALT",
+		".data\n.space 19683\n.word 1",
+		"NOP\n.data\nx: .org 19684",
+	} {
+		_, err := Assemble(src)
+		if err == nil {
+			t.Errorf("Assemble(%q) succeeded, want an address-space error", src)
+		} else if !strings.Contains(err.Error(), "line ") {
+			t.Errorf("Assemble(%q) error lacks its line: %v", src, err)
+		}
+	}
+	p, err := Assemble(".space 19682\nHALT\n.data\n.org 19682\n.word 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Words) != ternary.WordStates || p.Data[ternary.WordStates-1].Int() != 7 {
+		t.Errorf("full-size program: %d words, data %v", len(p.Words), p.Data)
 	}
 }

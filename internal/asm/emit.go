@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -8,11 +9,14 @@ import (
 	"repro/internal/ternary"
 )
 
-// emit runs the second pass: encode every item at its assigned address.
+// emit runs the second pass: encode every line at its assigned address.
 func (a *assembler) emit() (*Program, error) {
 	p := &Program{
+		Text:    make([]isa.Inst, 0, a.textLen),
+		Words:   make([]ternary.Word, 0, a.textLen),
+		Lines:   make([]int, 0, a.textLen),
 		Data:    map[int]ternary.Word{},
-		Symbols: map[string]int{},
+		Symbols: make(map[string]int, len(a.equ)+len(a.labels)),
 	}
 	for n, v := range a.equ {
 		p.Symbols[n] = v
@@ -20,16 +24,15 @@ func (a *assembler) emit() (*Program, error) {
 	for n, v := range a.labels {
 		p.Symbols[n] = v
 	}
-	for _, it := range a.items {
-		switch {
-		case it.sec == secData:
-			if err := a.emitData(p, it); err != nil {
-				a.errs = append(a.errs, err)
-			}
-		default:
-			if err := a.emitText(p, it); err != nil {
-				a.errs = append(a.errs, err)
-			}
+	for i := range a.lines {
+		var err error
+		if a.sec[i] == secData {
+			err = a.emitData(p, i)
+		} else {
+			err = a.emitText(p, i)
+		}
+		if err != nil {
+			a.errorf(i, "%v", err)
 		}
 	}
 	if err := a.errs.or(); err != nil {
@@ -38,279 +41,122 @@ func (a *assembler) emit() (*Program, error) {
 	return p, nil
 }
 
-// emitData places .word/.space/.org contents into the TDM image.
-func (a *assembler) emitData(p *Program, it *item) error {
-	st := it.stmt
-	switch st.kind {
-	case stWord:
-		for k, v := range st.values {
-			val, err := a.evalValue(v, st.line)
-			if err != nil {
-				return err
-			}
-			p.Data[it.addr+k] = ternary.FromInt(val)
-		}
-	case stSpace, stOrg:
-		// Reserved space is implicitly zero; nothing to record.
-	case stInst:
-		return fmt.Errorf("line %d: instruction %q in .data section", st.line, st.mnemonic)
-	}
-	return nil
-}
-
-// appendInst validates, encodes and appends one instruction.
-func (a *assembler) appendInst(p *Program, line int, in isa.Inst) error {
-	w, err := isa.Encode(in)
-	if err != nil {
-		return fmt.Errorf("line %d: %v", line, err)
-	}
-	p.Text = append(p.Text, in)
-	p.Words = append(p.Words, w)
-	p.Lines = append(p.Lines, line)
-	return nil
-}
-
-// emitText encodes a text-section item at its laid-out address.
-func (a *assembler) emitText(p *Program, it *item) error {
-	st := it.stmt
-	if len(p.Text) != it.addr && st.kind != stOrg && st.kind != stSpace {
-		// Interior misalignment would be an assembler bug; surface loudly.
-		if len(p.Text) > it.addr {
-			return fmt.Errorf("line %d: internal: text overlap at %d", st.line, it.addr)
-		}
-	}
-	switch st.kind {
-	case stOrg, stSpace:
-		for len(p.Text) < it.addr+it.size {
-			if err := a.appendInst(p, st.line, isa.NOP()); err != nil {
-				return err
-			}
-		}
-		return nil
-	case stWord:
-		return fmt.Errorf("line %d: .word in .text section (use .data)", st.line)
-	}
-
-	m, args := st.mnemonic, st.args
-	argN := func(want int) error {
-		if len(args) != want {
-			return fmt.Errorf("line %d: %s wants %d operands, got %d", st.line, m, want, len(args))
-		}
-		return nil
-	}
-	reg := func(s string) (isa.Reg, error) {
-		r, err := isa.ParseReg(s)
+// emitData places .word contents into the TDM image; reserved space is
+// implicitly zero.
+func (a *assembler) emitData(p *Program, i int) error {
+	switch l := &a.lines[i]; l.Op {
+	case 0, dirText, dirData, dirEqu, dirSpace, dirOrg:
+	case dirWord:
+		v, err := a.value(l)
 		if err != nil {
-			return 0, fmt.Errorf("line %d: %v", st.line, err)
-		}
-		return r, nil
-	}
-	imm := func(s string) (int, error) {
-		v, err := a.evalValue(s, st.line)
-		if err != nil {
-			return 0, err
-		}
-		return v, nil
-	}
-
-	switch m {
-	case "NOP":
-		if err := argN(0); err != nil {
 			return err
 		}
-		return a.appendInst(p, st.line, isa.NOP())
+		p.Data[a.addr[i]] = ternary.FromInt(v)
+	default:
+		return fmt.Errorf("instruction %q in .data section", l.Op)
+	}
+	return nil
+}
 
-	case "HALT":
+// put validates, encodes and appends instructions for line i.
+func (a *assembler) put(p *Program, i int, ins ...isa.Inst) error {
+	for _, in := range ins {
+		w, err := isa.Encode(in)
+		if err != nil {
+			return err
+		}
+		p.Text = append(p.Text, in)
+		p.Words = append(p.Words, w)
+		p.Lines = append(p.Lines, a.srcLine[i])
+	}
+	return nil
+}
+
+// emitText encodes a text-section line at its laid-out address.
+func (a *assembler) emitText(p *Program, i int) error {
+	l := &a.lines[i]
+	switch l.Op {
+	case 0, dirText, dirData, dirEqu:
+		return nil
+	case dirSpace, dirOrg:
+		for len(p.Text) < a.addr[i]+a.size[i] {
+			if err := a.put(p, i, isa.NOP()); err != nil {
+				return err
+			}
+		}
+		return nil
+	case dirWord:
+		return errors.New(".word in .text section (use .data)")
+	case NOP:
+		return a.put(p, i, isa.NOP())
+	case HALT:
 		// Jump-to-self; the simulator recognises it as program exit.
-		if err := argN(0); err != nil {
-			return err
+		return a.put(p, i, isa.Inst{Op: isa.JAL, Ta: scratch})
+	case LDI, LDA:
+		resolve := a.value // LDI takes a constant, LDA any symbol
+		if l.Op == LDI {
+			resolve = a.constant
 		}
-		return a.appendInst(p, st.line, isa.Inst{Op: isa.JAL, Ta: a.opts.ScratchReg, Imm: 0})
-
-	case "LDI", "LDA":
-		if err := argN(2); err != nil {
-			return err
-		}
-		ta, err := reg(args[0])
-		if err != nil {
-			return err
-		}
-		v, err := imm(args[1])
+		v, err := resolve(l)
 		if err != nil {
 			return err
 		}
 		if !ternary.FitsTrits(v, 9) {
-			return fmt.Errorf("line %d: %s: value %d exceeds 9 trits", st.line, m, v)
+			return fmt.Errorf("%s: value %d exceeds 9 trits", l.Op, v)
 		}
 		hi, lo := splitConst(v)
-		if err := a.appendInst(p, st.line, isa.Inst{Op: isa.LUI, Ta: ta, Imm: hi}); err != nil {
-			return err
+		if lo != 0 || l.Op == LDA {
+			return a.put(p, i, isa.Inst{Op: isa.LUI, Ta: l.Ta, Imm: hi}, isa.Inst{Op: isa.LI, Ta: l.Ta, Imm: lo})
 		}
-		if lo != 0 || m == "LDA" {
-			return a.appendInst(p, st.line, isa.Inst{Op: isa.LI, Ta: ta, Imm: lo})
-		}
-		return nil
-
-	case "BEQ", "BNE":
-		if err := argN(3); err != nil {
-			return err
-		}
-		tb, err := reg(args[0])
-		if err != nil {
-			return err
-		}
-		bv, err := imm(args[1])
-		if err != nil {
-			return err
-		}
-		if bv < -1 || bv > 1 {
-			return fmt.Errorf("line %d: %s condition trit %d out of range", st.line, m, bv)
-		}
-		op := isa.BEQ
-		if m == "BNE" {
-			op = isa.BNE
-		}
-		var off int
-		if a.isSymbol(args[2]) {
-			target, ok := a.labels[args[2]]
-			if !ok {
-				return fmt.Errorf("line %d: undefined label %q", st.line, args[2])
-			}
-			off = target - it.addr
-		} else {
-			if off, err = imm(args[2]); err != nil {
-				return err
-			}
-			if !ternary.FitsTrits(off, 4) {
-				return fmt.Errorf("line %d: branch offset %d exceeds 4 trits", st.line, off)
-			}
-		}
-		return a.emitBranch(p, st.line, it, op, tb, ternary.Trit(bv), off)
-
-	case "JAL":
-		if err := argN(2); err != nil {
-			return err
-		}
-		ta, err := reg(args[0])
-		if err != nil {
-			return err
-		}
-		var off int
-		if a.isSymbol(args[1]) {
-			target, ok := a.labels[args[1]]
-			if !ok {
-				return fmt.Errorf("line %d: undefined label %q", st.line, args[1])
-			}
-			off = target - it.addr
-		} else {
-			if off, err = imm(args[1]); err != nil {
-				return err
-			}
-			if !ternary.FitsTrits(off, 5) {
-				return fmt.Errorf("line %d: jump offset %d exceeds 5 trits", st.line, off)
-			}
-		}
-		if it.relaxed == relaxShort {
-			return a.appendInst(p, st.line, isa.Inst{Op: isa.JAL, Ta: ta, Imm: off})
-		}
-		// Far jump: absolute address via scratch, true link in Ta.
-		s := a.opts.ScratchReg
-		hi, lo := splitConst(it.addr + off)
-		if err := a.appendInst(p, st.line, isa.Inst{Op: isa.LUI, Ta: s, Imm: hi}); err != nil {
-			return err
-		}
-		if err := a.appendInst(p, st.line, isa.Inst{Op: isa.LI, Ta: s, Imm: lo}); err != nil {
-			return err
-		}
-		return a.appendInst(p, st.line, isa.Inst{Op: isa.JALR, Ta: ta, Tb: s, Imm: 0})
+		return a.put(p, i, isa.Inst{Op: isa.LUI, Ta: l.Ta, Imm: hi})
 	}
 
-	// Plain Table I instructions.
-	op, ok := isa.OpByName[m]
+	op, _ := l.Op.Op()
+	in := isa.Inst{Op: op, Ta: l.Ta, Tb: l.Tb, B: l.B, Imm: l.Imm}
+	if l.Target == "" {
+		return a.put(p, i, in)
+	}
+	if op != isa.BEQ && op != isa.BNE && op != isa.JAL {
+		var err error
+		if in.Imm, err = a.value(l); err != nil {
+			return err
+		}
+		return a.put(p, i, in)
+	}
+	target, ok := a.labels[l.Target]
 	if !ok {
-		return fmt.Errorf("line %d: unknown mnemonic %q", st.line, m)
+		return fmt.Errorf("undefined label %q", l.Target)
 	}
-	in := isa.Inst{Op: op}
-	var err error
-	switch op {
-	case isa.MV, isa.PTI, isa.NTI, isa.STI, isa.AND, isa.OR, isa.XOR,
-		isa.ADD, isa.SUB, isa.SR, isa.SL, isa.COMP:
-		if err = argN(2); err != nil {
-			return err
-		}
-		if in.Ta, err = reg(args[0]); err != nil {
-			return err
-		}
-		if in.Tb, err = reg(args[1]); err != nil {
-			return err
-		}
-	case isa.ANDI, isa.ADDI, isa.SRI, isa.SLI, isa.LUI, isa.LI:
-		if err = argN(2); err != nil {
-			return err
-		}
-		if in.Ta, err = reg(args[0]); err != nil {
-			return err
-		}
-		if in.Imm, err = imm(args[1]); err != nil {
-			return err
-		}
-	case isa.JALR, isa.LOAD, isa.STORE:
-		if err = argN(3); err != nil {
-			return err
-		}
-		if in.Ta, err = reg(args[0]); err != nil {
-			return err
-		}
-		if in.Tb, err = reg(args[1]); err != nil {
-			return err
-		}
-		if in.Imm, err = imm(args[2]); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("line %d: %s cannot be written directly", st.line, m)
+	in.Imm = target - a.addr[i]
+	switch {
+	case a.level[i] == relaxShort:
+		return a.put(p, i, in)
+	case op == isa.JAL:
+		// Far jump: absolute address via scratch, true link in Ta.
+		hi, lo := splitConst(target)
+		return a.put(p, i,
+			isa.Inst{Op: isa.LUI, Ta: scratch, Imm: hi},
+			isa.Inst{Op: isa.LI, Ta: scratch, Imm: lo},
+			isa.Inst{Op: isa.JALR, Ta: l.Ta, Tb: scratch})
 	}
-	return a.appendInst(p, st.line, in)
-}
-
-// emitBranch emits a conditional branch at its chosen relaxation level.
-// off is relative to the first emitted word (the item address).
-func (a *assembler) emitBranch(p *Program, line int, it *item, op isa.Op, tb isa.Reg, b ternary.Trit, off int) error {
-	switch it.relaxed {
-	case relaxShort:
-		return a.appendInst(p, line, isa.Inst{Op: op, Tb: tb, B: b, Imm: off})
-	case relaxNear:
-		// Inverted branch over a JAL. The link register of JAL is the
-		// scratch register (its value is clobbered, documented).
-		inv := isa.BEQ
-		if op == isa.BEQ {
-			inv = isa.BNE
-		}
-		if err := a.appendInst(p, line, isa.Inst{Op: inv, Tb: tb, B: b, Imm: 2}); err != nil {
-			return err
-		}
-		return a.appendInst(p, line, isa.Inst{Op: isa.JAL, Ta: a.opts.ScratchReg, Imm: off - 1})
-	default: // relaxFar
-		if a.opts.NoRelax {
-			return fmt.Errorf("line %d: branch target out of range and relaxation disabled", line)
-		}
-		inv := isa.BEQ
-		if op == isa.BEQ {
-			inv = isa.BNE
-		}
-		s := a.opts.ScratchReg
-		hi, lo := splitConst(it.addr + off)
-		if err := a.appendInst(p, line, isa.Inst{Op: inv, Tb: tb, B: b, Imm: 4}); err != nil {
-			return err
-		}
-		if err := a.appendInst(p, line, isa.Inst{Op: isa.LUI, Ta: s, Imm: hi}); err != nil {
-			return err
-		}
-		if err := a.appendInst(p, line, isa.Inst{Op: isa.LI, Ta: s, Imm: lo}); err != nil {
-			return err
-		}
-		return a.appendInst(p, line, isa.Inst{Op: isa.JALR, Ta: s, Tb: s, Imm: 0})
+	// An out-of-reach branch becomes the inverted branch over a jump.
+	inv := isa.BEQ
+	if op == isa.BEQ {
+		inv = isa.BNE
 	}
+	if a.level[i] == relaxNear {
+		// The link register of the JAL is the scratch register (its
+		// value is clobbered, documented).
+		return a.put(p, i,
+			isa.Inst{Op: inv, Tb: l.Tb, B: l.B, Imm: 2},
+			isa.Inst{Op: isa.JAL, Ta: scratch, Imm: in.Imm - 1})
+	}
+	hi, lo := splitConst(target)
+	return a.put(p, i,
+		isa.Inst{Op: inv, Tb: l.Tb, B: l.B, Imm: 4},
+		isa.Inst{Op: isa.LUI, Ta: scratch, Imm: hi},
+		isa.Inst{Op: isa.LI, Ta: scratch, Imm: lo},
+		isa.Inst{Op: isa.JALR, Ta: scratch, Tb: scratch})
 }
 
 // Disassemble renders an encoded TIM image as assembly text, one

@@ -2,8 +2,6 @@ package asm
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/isa"
 	"repro/internal/ternary"
@@ -16,57 +14,12 @@ const (
 	relaxFar          // absolute target via LDA + JALR
 )
 
-// sizeOf returns the number of TIM/TDM words a statement occupies at the
-// given relaxation level. It must be deterministic per (stmt, level) so the
-// fixed-point layout converges.
-func (a *assembler) sizeOf(st *statement, sec section, level int) (int, error) {
-	switch st.kind {
-	case stWord:
-		return len(st.values), nil
-	case stSpace:
-		return st.count, nil
-	case stOrg:
-		return 0, nil // handled specially in layout
-	}
-	m := st.mnemonic
-	switch m {
-	case "NOP", "HALT":
-		return 1, nil
-	case "LDI":
-		if len(st.args) != 2 {
-			return 0, fmt.Errorf("line %d: LDI wants Ta, value", st.line)
-		}
-		v, err := a.evalConst(st.args[1], st.line)
-		if err != nil {
-			return 0, err
-		}
-		_, lo := splitConst(v)
-		if lo == 0 {
-			return 1, nil
-		}
-		return 2, nil
-	case "LDA":
-		return 2, nil
-	case "BEQ", "BNE":
-		switch level {
-		case relaxShort:
-			return 1, nil
-		case relaxNear:
-			return 2, nil
-		default:
-			return 4, nil
-		}
-	case "JAL":
-		if level == relaxShort {
-			return 1, nil
-		}
-		return 3, nil
-	}
-	if _, ok := isa.OpByName[m]; ok {
-		return 1, nil
-	}
-	return 0, fmt.Errorf("line %d: unknown mnemonic %q", st.line, st.mnemonic)
-}
+// branchSize and jalSize give the words a label branch or JAL takes at
+// each relaxation level (a JAL goes straight from short to far).
+var (
+	branchSize = [...]int{relaxShort: 1, relaxNear: 2, relaxFar: 4}
+	jalSize    = [...]int{relaxShort: 1, relaxFar: 3}
+)
 
 // splitConst decomposes a 9-trit value into hi·3^5 + lo with lo in the
 // 5-trit balanced range, the LUI/LI pair of §IV-A.
@@ -77,104 +30,122 @@ func splitConst(v int) (hi, lo int) {
 	return hi, lo
 }
 
-// layout assigns addresses to all statements, iterating branch relaxation
-// to a fixed point. Relaxation levels only ever increase, so the loop
-// terminates.
+// layout assigns a section, address and size to every line, iterating
+// branch relaxation to a fixed point. Relaxation levels only ever
+// increase, so the loop terminates.
 func (a *assembler) layout() error {
-	// Build items once.
-	a.items = a.items[:0]
-	levels := make([]int, len(a.stmts))
+	n := len(a.lines)
+	a.sec = make([]section, n)
+	a.addr = make([]int, n)
+	a.size = make([]int, n)
+	a.level = make([]int, n)
+	sec := secText
+	for i := range a.lines {
+		a.sec[i] = sec
+		switch l := &a.lines[i]; l.Op {
+		case dirText:
+			sec = secText
+		case dirData:
+			sec = secData
+		case dirEqu:
+			if _, dup := a.equ[l.Target]; dup {
+				a.errorf(i, ".equ: duplicate constant %q", l.Target)
+			}
+			a.equ[l.Target] = l.Imm
+		}
+	}
+	for i := range a.lines {
+		a.size[i] = a.baseSize(i)
+	}
+	if err := a.errs.or(); err != nil {
+		return err
+	}
+
+	a.labels = make(map[string]int)
 	for iter := 0; ; iter++ {
-		if iter > 2+len(a.stmts) {
+		if iter > 2+n {
 			return fmt.Errorf("asm: branch relaxation did not converge")
 		}
-		a.items = a.items[:0]
-		lc := map[section]int{}
-		a.labels = map[string]int{}
-		stmtAddr := make([]int, len(a.stmts)+1)
-		var layoutErrs errList
-		for i, st := range a.stmts {
-			sec := a.secOf[i]
-			stmtAddr[i] = lc[sec]
-			if st.kind == stOrg {
-				if st.count < lc[sec] {
-					layoutErrs = append(layoutErrs, fmt.Errorf("line %d: .org %d before current location %d", st.line, st.count, lc[sec]))
-					continue
+		clear(a.labels)
+		var lc [2]int
+		for i := range a.lines {
+			l, s := &a.lines[i], a.sec[i]
+			a.addr[i] = lc[s]
+			if l.Label != "" {
+				if prev, dup := a.labels[l.Label]; dup && prev != lc[s] {
+					return fmt.Errorf("line %d: duplicate label %q", a.srcLine[i], l.Label)
 				}
-				it := &item{stmt: st, sec: sec, addr: lc[sec], size: st.count - lc[sec]}
-				a.items = append(a.items, it)
-				lc[sec] = st.count
-				continue
+				a.labels[l.Label] = lc[s]
 			}
-			size, err := a.sizeOf(st, sec, levels[i])
-			if err != nil {
-				layoutErrs = append(layoutErrs, err)
-				continue
-			}
-			a.items = append(a.items, &item{stmt: st, sec: sec, addr: lc[sec], size: size, relaxed: levels[i]})
-			lc[sec] += size
-		}
-		if err := layoutErrs.or(); err != nil {
-			return err
-		}
-		stmtAddr[len(a.stmts)] = 0 // see below: EOF labels
-		// Bind labels: a label binds to the address of the next statement
-		// in its own section, or the section end if none follows.
-		for _, d := range a.labelDecls {
-			addr, found := lc[d.sec], false
-			for j := d.idx; j < len(a.stmts); j++ {
-				if a.secOf[j] == d.sec {
-					addr, found = stmtAddr[j], true
-					break
+			if l.Op == dirOrg {
+				if l.Imm < lc[s] {
+					return fmt.Errorf("line %d: .org %d before current location %d", a.srcLine[i], l.Imm, lc[s])
 				}
+				a.size[i] = l.Imm - lc[s]
 			}
-			_ = found
-			if prev, dup := a.labels[d.name]; dup && prev != addr {
-				return fmt.Errorf("line %d: duplicate label %q", d.line, d.name)
+			if a.size[i] > ternary.WordStates-lc[s] {
+				return fmt.Errorf("line %d: %s passes the %d-word address space", a.srcLine[i], [...]string{".text", ".data"}[s], ternary.WordStates)
 			}
-			a.labels[d.name] = addr
+			lc[s] += a.size[i]
 		}
+		a.textLen = lc[secText]
+
 		// Check reach of every label-target control transfer; bump levels.
 		changed := false
-		itemIdx := 0
-		for i, st := range a.stmts {
-			if a.secOf[i] == secData || st.kind != stInst {
-				itemIdx++
+		for i := range a.lines {
+			l := &a.lines[i]
+			if l.Target == "" || a.sec[i] != secText {
 				continue
 			}
-			it := a.items[itemIdx]
-			itemIdx++
-			switch st.mnemonic {
-			case "BEQ", "BNE":
-				if len(st.args) != 3 || !a.isSymbol(st.args[2]) {
-					continue // numeric offset: no relaxation
-				}
-				target, ok := a.labels[st.args[2]]
-				if !ok {
-					continue // undefined label reported at emit
-				}
-				need := neededBranchLevel(it.addr, target)
-				if need > levels[i] {
-					levels[i] = need
-					changed = true
-				}
-			case "JAL":
-				if len(st.args) != 2 || !a.isSymbol(st.args[1]) {
-					continue
-				}
-				target, ok := a.labels[st.args[1]]
-				if !ok {
-					continue
-				}
-				if levels[i] == relaxShort && !ternary.FitsTrits(target-it.addr, 5) {
-					levels[i] = relaxFar
-					changed = true
-				}
+			target, ok := a.labels[l.Target]
+			if !ok {
+				continue // undefined label reported at emit
 			}
+			need := a.level[i]
+			switch op, _ := l.Op.Op(); op {
+			case isa.BEQ, isa.BNE:
+				need = max(need, neededBranchLevel(a.addr[i], target))
+				a.size[i] = branchSize[need]
+			case isa.JAL:
+				if !ternary.FitsTrits(target-a.addr[i], 5) {
+					need = relaxFar
+				}
+				a.size[i] = jalSize[need]
+			}
+			changed = changed || need != a.level[i]
+			a.level[i] = need
 		}
 		if !changed {
 			return nil
 		}
+	}
+}
+
+// baseSize returns the words line i takes before any relaxation.
+func (a *assembler) baseSize(i int) int {
+	switch l := &a.lines[i]; l.Op {
+	case 0, dirText, dirData, dirEqu, dirOrg:
+		return 0
+	case dirSpace:
+		if l.Imm < 0 {
+			a.errorf(i, ".space: negative value %d", l.Imm)
+		}
+		return max(l.Imm, 0)
+	case LDA:
+		return 2
+	case LDI:
+		v, err := a.constant(l)
+		if err != nil {
+			a.errorf(i, "%v", err)
+		} else if _, lo := splitConst(v); lo != 0 {
+			return 2
+		}
+		return 1
+	default:
+		if _, ok := l.Op.Op(); !ok && l.Op != NOP && l.Op != HALT && l.Op != dirWord {
+			a.errorf(i, "unknown mnemonic %q", l.Op)
+		}
+		return 1
 	}
 }
 
@@ -191,49 +162,23 @@ func neededBranchLevel(addr, target int) int {
 	return relaxFar
 }
 
-// isSymbol reports whether the operand is a symbol reference rather than a
-// number or register.
-func (a *assembler) isSymbol(s string) bool {
-	if s == "" {
-		return false
+// constant resolves a constant operand: the line's Imm, or the .equ its
+// Target names.
+func (a *assembler) constant(l *Line) (int, error) {
+	if l.Target == "" {
+		return l.Imm, nil
 	}
-	if s[0] == '+' || s[0] == '-' || (s[0] >= '0' && s[0] <= '9') {
-		return false
-	}
-	if _, err := isa.ParseReg(s); err == nil {
-		return false
-	}
-	return isIdent(s)
-}
-
-// evalConst evaluates a parse-time constant: decimal, 0t trit literal, or a
-// previously defined .equ name.
-func (a *assembler) evalConst(s string, line int) (int, error) {
-	if v, ok := a.equ[s]; ok {
+	if v, ok := a.equ[l.Target]; ok {
 		return v, nil
 	}
-	if strings.HasPrefix(s, "0t") || strings.HasPrefix(s, "-0t") {
-		neg := strings.HasPrefix(s, "-")
-		w, err := ternary.ParseWord(strings.TrimPrefix(s, "-"))
-		if err != nil {
-			return 0, fmt.Errorf("line %d: %v", line, err)
-		}
-		if neg {
-			return -w.Int(), nil
-		}
-		return w.Int(), nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("line %d: cannot evaluate %q as a constant", line, s)
-	}
-	return v, nil
+	return 0, fmt.Errorf("cannot evaluate %q as a constant", l.Target)
 }
 
-// evalValue evaluates an emit-time operand: constants plus labels.
-func (a *assembler) evalValue(s string, line int) (int, error) {
-	if v, ok := a.labels[s]; ok {
+// value resolves an immediate operand: the line's Imm, or the label or
+// .equ its Target names.
+func (a *assembler) value(l *Line) (int, error) {
+	if v, ok := a.labels[l.Target]; ok && l.Target != "" {
 		return v, nil
 	}
-	return a.evalConst(s, line)
+	return a.constant(l)
 }

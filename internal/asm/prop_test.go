@@ -131,20 +131,3 @@ func TestTextCellsProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestScratchRegOption(t *testing.T) {
-	// Far branches with a custom scratch register must use it.
-	var src strings.Builder
-	src.WriteString("BEQ T1, 0, far\n")
-	for i := 0; i < 300; i++ {
-		src.WriteString("NOP\n")
-	}
-	src.WriteString("far: HALT\n")
-	p, err := AssembleOpts(src.String(), Options{ScratchReg: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Text[1].Op != isa.LUI || p.Text[1].Ta != 5 {
-		t.Errorf("custom scratch not used: %v", p.Text[1])
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/rv32"
 	"repro/internal/sim"
@@ -93,10 +94,11 @@ func runOn(ctx context.Context, w Workload, opts xlate.Options, st *sim.State) (
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("bench %s: %w", w.Name, err)
 	}
-	rvProg, err := rv32.Assemble(w.Source)
+	c, err := (&core.SoftwareFramework{Options: opts}).Compile(w.Source)
 	if err != nil {
-		return nil, fmt.Errorf("bench %s: rv32 assemble: %w", w.Name, err)
+		return nil, fmt.Errorf("bench %s: %w", w.Name, err)
 	}
+	rvProg, out, artProg := c.Binary, c.Ternary, c.Program
 
 	m := rv32.NewMachine(1 << 16)
 	vex := rv32.NewVexRiscvModel()
@@ -111,18 +113,10 @@ func runOn(ctx context.Context, w Workload, opts xlate.Options, st *sim.State) (
 	}
 	ref := int(int32(m.Reg(10)))
 
-	out, err := xlate.Translate(rvProg, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bench %s: translate: %w", w.Name, err)
-	}
-	artProg, err := engine.AssembleCached(out.Asm)
-	if err != nil {
-		return nil, fmt.Errorf("bench %s: art9 assemble: %w", w.Name, err)
-	}
 	if err := st.Load(artProg); err != nil {
 		return nil, err
 	}
-	if err := st.TDM.SetAll(xlate.DataImage(rvProg)); err != nil {
+	if err := st.TDM.SetAll(c.Data); err != nil {
 		return nil, err
 	}
 	res, err := (&sim.Functional{S: st}).RunTimed(ctx)

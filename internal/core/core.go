@@ -40,21 +40,23 @@ type CompileResult struct {
 	Data map[int]ternary.Word
 }
 
-// Compile runs the full pipeline on RV32 assembly source: binary assembly
-// → instruction mapping → operand conversion → redundancy checking →
-// ternary assembly.
+// Compile runs the full pipeline on RV32 assembly source: binary
+// assembly → instruction mapping → operand conversion → redundancy
+// checking → ternary assembly, the last through the shared program cache.
+// Every suite job compiles through it too. An error names its stage:
+// "rv32 assemble", "translate" or "art9 assemble".
 func (f *SoftwareFramework) Compile(rvSource string) (*CompileResult, error) {
 	binProg, err := rv32.Assemble(rvSource)
 	if err != nil {
-		return nil, fmt.Errorf("core: binary front end: %w", err)
+		return nil, fmt.Errorf("rv32 assemble: %w", err)
 	}
 	out, err := xlate.Translate(binProg, f.Options)
 	if err != nil {
-		return nil, fmt.Errorf("core: translation: %w", err)
+		return nil, fmt.Errorf("translate: %w", err)
 	}
 	ternProg, err := engine.AssembleCached(out.Asm)
 	if err != nil {
-		return nil, fmt.Errorf("core: ternary back end: %w", err)
+		return nil, fmt.Errorf("art9 assemble: %w", err)
 	}
 	return &CompileResult{
 		Binary:  binProg,

@@ -7,6 +7,7 @@ package isa
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/ternary"
 )
@@ -248,19 +249,51 @@ func (i Inst) Validate() error {
 	return nil
 }
 
+// Operand names one assembler operand field of an instruction.
+type Operand uint8
+
+const (
+	OperandTa  Operand = iota // destination / first source register
+	OperandTb                 // second source / base register
+	OperandB                  // branch condition trit
+	OperandImm                // immediate (or, in assembly, a symbol)
+)
+
+// operands caches Operands per opcode.
+var operands = func() (t [NumOps][]Operand) {
+	for op := Op(0); op < NumOps; op++ {
+		for o, has := range [...]bool{op.HasTa(), op.HasTb(), op.IsBranch(), op.ImmTrits() > 0} {
+			if has {
+				t[op] = append(t[op], Operand(o))
+			}
+		}
+	}
+	return
+}()
+
+// Operands returns op's assembler operands in source order: Ta, Tb, the
+// condition trit, then the immediate, each only if op encodes it. The
+// assembler's parser and printer and Inst.String all follow this order.
+func (op Op) Operands() []Operand {
+	if op >= NumOps {
+		return nil
+	}
+	return operands[op]
+}
+
 // String disassembles i into assembler syntax.
 func (i Inst) String() string {
-	switch i.Op {
-	case MV, PTI, NTI, STI, AND, OR, XOR, ADD, SUB, SR, SL, COMP:
-		return fmt.Sprintf("%s %s, %s", i.Op, i.Ta, i.Tb)
-	case ANDI, ADDI, SRI, SLI, LUI, LI:
-		return fmt.Sprintf("%s %s, %d", i.Op, i.Ta, i.Imm)
-	case BEQ, BNE:
-		return fmt.Sprintf("%s %s, %d, %d", i.Op, i.Tb, int(i.B), i.Imm)
-	case JAL:
-		return fmt.Sprintf("%s %s, %d", i.Op, i.Ta, i.Imm)
-	case JALR, LOAD, STORE:
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Ta, i.Tb, i.Imm)
+	if i.Op >= NumOps {
+		return fmt.Sprintf("<invalid op %d>", uint8(i.Op))
 	}
-	return fmt.Sprintf("<invalid op %d>", uint8(i.Op))
+	vals := [...]string{
+		OperandTa: i.Ta.String(), OperandTb: i.Tb.String(),
+		OperandB: strconv.Itoa(int(i.B)), OperandImm: strconv.Itoa(i.Imm),
+	}
+	s, sep := i.Op.String(), " "
+	for _, o := range i.Op.Operands() {
+		s += sep + vals[o]
+		sep = ", "
+	}
+	return s
 }

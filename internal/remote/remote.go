@@ -1097,11 +1097,9 @@ type BackendConfig struct {
 	// a proxy-only topology meaningful).
 	Shards int
 	// Workers is each local shard's pool size (0 selects GOMAXPROCS),
-	// Queue its dispatch-queue depth (0 selects 2×Workers), and
-	// JobTimeout the bound on each local job that sets none of its own
-	// (0: no deadline).
+	// and JobTimeout the bound on each local job that sets none of its
+	// own (0: no deadline). A shard's dispatch queue holds 2×Workers.
 	Workers    int
-	Queue      int
 	JobTimeout time.Duration
 	// Peers lists art9-serve base URLs, one remote Client each.
 	Peers []string
@@ -1185,7 +1183,7 @@ func NewBackendWith(cfg BackendConfig) (engine.Evaluator, error) {
 		}
 		resultCache = bench.NewResultCache(store)
 	}
-	opts := engine.Options{Workers: cfg.Workers, Queue: cfg.Queue, JobTimeout: cfg.JobTimeout}
+	opts := engine.Options{Workers: cfg.Workers, JobTimeout: cfg.JobTimeout}
 	if cfg.AutoscaleMin != 0 || cfg.AutoscaleMax != 0 {
 		var standbys []engine.StandbyBackend
 		for _, p := range cfg.StandbyPeers {

@@ -1,6 +1,9 @@
 package xlate
 
-import "repro/internal/isa"
+import (
+	"repro/internal/asm"
+	"repro/internal/isa"
+)
 
 // The redundancy-checking phase of Fig. 2: the mapping and conversion
 // phases emit conservatively (copies for two-address form, spill traffic,
@@ -10,47 +13,30 @@ import "repro/internal/isa"
 // "re-calculates the branch target addresses" step of §III-A.
 
 // lineWrites returns the register a line writes, if any.
-func lineWrites(l Line) (isa.Reg, bool) {
-	switch l.Op {
-	case "MV", "PTI", "NTI", "STI", "AND", "OR", "XOR", "ADD", "SUB",
-		"SR", "SL", "COMP", "ANDI", "ADDI", "SRI", "SLI", "LUI", "LI",
-		"LDI", "LDA", "LOAD", "JAL", "JALR":
-		return l.Ta, true
+func lineWrites(l asm.Line) (isa.Reg, bool) {
+	if op, ok := l.Op.Op(); ok {
+		return l.Ta, op.WritesReg()
 	}
-	return 0, false
+	return l.Ta, l.Op == asm.LDI || l.Op == asm.LDA
 }
 
-// lineReads returns the registers a line reads.
-func lineReads(l Line) []isa.Reg {
-	switch l.Op {
-	case "MV", "PTI", "NTI", "STI":
-		return []isa.Reg{l.Tb}
-	case "AND", "OR", "XOR", "ADD", "SUB", "SR", "SL", "COMP":
-		return []isa.Reg{l.Ta, l.Tb}
-	case "ANDI", "ADDI", "SRI", "SLI", "LI":
-		return []isa.Reg{l.Ta}
-	case "BEQ", "BNE", "JALR", "LOAD":
-		return []isa.Reg{l.Tb}
-	case "STORE":
-		return []isa.Reg{l.Ta, l.Tb}
-	}
-	return nil
+// lineReads reports whether a line reads register r.
+func lineReads(l asm.Line, r isa.Reg) bool {
+	op, ok := l.Op.Op()
+	return ok && (op.ReadsTa() && l.Ta == r || op.ReadsTb() && l.Tb == r)
 }
 
 // isControl reports whether a line can transfer control.
-func isControl(l Line) bool {
-	switch l.Op {
-	case "JAL", "JALR", "BEQ", "BNE", "HALT":
-		return true
-	}
-	return false
+func isControl(l asm.Line) bool {
+	op, ok := l.Op.Op()
+	return l.Op == asm.HALT || ok && (op.IsBranch() || op.IsJump())
 }
 
 // isPureWrite reports whether a line only writes its Ta (safe to delete
 // when the value is dead).
-func isPureWrite(l Line) bool {
+func isPureWrite(l asm.Line) bool {
 	switch l.Op {
-	case "LDI", "LUI", "LDA", "MV":
+	case asm.LDI, asm.LDA, asm.Instr(isa.LUI), asm.Instr(isa.MV):
 		return true
 	}
 	return false
@@ -59,13 +45,13 @@ func isPureWrite(l Line) bool {
 // isIdentity reports whether a line provably changes nothing: MV x,x;
 // ADDI/SLI/SRI x,0; ADD/SUB x,T0 (T0 holds zero by ABI and is never
 // rewritten after the prologue).
-func isIdentity(l Line) bool {
+func isIdentity(l asm.Line) bool {
 	switch l.Op {
-	case "MV":
+	case asm.Instr(isa.MV):
 		return l.Ta == l.Tb
-	case "ADDI", "SLI", "SRI":
+	case asm.Instr(isa.ADDI), asm.Instr(isa.SLI), asm.Instr(isa.SRI):
 		return l.Imm == 0
-	case "ADD", "SUB":
+	case asm.Instr(isa.ADD), asm.Instr(isa.SUB):
 		return l.Tb == regZero
 	}
 	return false
@@ -73,7 +59,7 @@ func isIdentity(l Line) bool {
 
 // peephole runs the redundancy checker to a fixed point, returning the
 // cleaned lines and the number of instructions removed.
-func peephole(lines []Line) ([]Line, int) {
+func peephole(lines []asm.Line) ([]asm.Line, int) {
 	removed := 0
 	for {
 		n := 0
@@ -85,22 +71,22 @@ func peephole(lines []Line) ([]Line, int) {
 	}
 }
 
-func peepholeOnce(lines []Line) ([]Line, int) {
+func peepholeOnce(lines []asm.Line) ([]asm.Line, int) {
 	removed := 0
 	// drop turns line i into a label-only placeholder, preserving any
 	// label bound to it.
 	drop := func(i int) {
-		lines[i] = Line{Label: lines[i].Label}
+		lines[i] = asm.Line{Label: lines[i].Label}
 		removed++
 	}
 	for i := 0; i < len(lines); i++ {
 		l := lines[i]
-		if l.Op == "" {
+		if l.Op == 0 {
 			continue
 		}
 		// The prologue LDI T0, 0 establishes the ABI zero; never touch
 		// writes to T0 (there is exactly one).
-		if w, ok := lineWrites(l); ok && w == regZero && l.Op == "LDI" {
+		if w, ok := lineWrites(l); ok && w == regZero && l.Op == asm.LDI {
 			continue
 		}
 
@@ -111,14 +97,14 @@ func peepholeOnce(lines []Line) ([]Line, int) {
 		}
 
 		// Rule 3: spill store immediately reloaded.
-		if l.Op == "STORE" && l.Tb == regZero {
+		if l.Op == asm.Instr(isa.STORE) && l.Tb == regZero {
 			if j := nextOp(lines, i); j >= 0 && lines[j].Label == "" {
 				n := lines[j]
-				if n.Op == "LOAD" && n.Tb == regZero && n.Imm == l.Imm {
+				if n.Op == asm.Instr(isa.LOAD) && n.Tb == regZero && n.Imm == l.Imm {
 					if n.Ta == l.Ta {
 						drop(j)
 					} else {
-						lines[j] = Line{Op: "MV", Ta: n.Ta, HasTa: true, Tb: l.Ta, HasTb: true}
+						lines[j] = asm.Line{Op: asm.Instr(isa.MV), Ta: n.Ta, Tb: l.Ta}
 					}
 					continue
 				}
@@ -136,21 +122,21 @@ func peepholeOnce(lines []Line) ([]Line, int) {
 
 		// Rule 5: duplicate constant load — an identical LDI with no
 		// intervening write/barrier.
-		if l.Op == "LDI" {
+		if l.Op == asm.LDI {
 			for j := i + 1; j < len(lines); j++ {
 				n := lines[j]
-				if n.Op == "" && n.Label == "" {
+				if n.Op == 0 && n.Label == "" {
 					continue
 				}
 				if n.Label != "" || isControl(n) {
 					break
 				}
 				if w, ok := lineWrites(n); ok && w == l.Ta {
-					if n.Op == "LDI" && n.Imm == l.Imm {
+					if n.Op == asm.LDI && n.Imm == l.Imm {
 						// Same value rebuilt: the second is redundant
 						// only if nothing read-modified it, which the
 						// write check guarantees.
-						lines[j] = Line{Label: n.Label}
+						lines[j] = asm.Line{Label: n.Label}
 						removed++
 					}
 					break
@@ -160,10 +146,10 @@ func peepholeOnce(lines []Line) ([]Line, int) {
 	}
 	// Compact label-only placeholders into their successors where the
 	// successor has no label of its own.
-	var out []Line
+	var out []asm.Line
 	for i := 0; i < len(lines); i++ {
 		l := lines[i]
-		if l.Op == "" && l.Label == "" {
+		if l.Op == 0 && l.Label == "" {
 			continue
 		}
 		out = append(out, l)
@@ -172,9 +158,9 @@ func peepholeOnce(lines []Line) ([]Line, int) {
 }
 
 // nextOp returns the next index holding a real instruction, or −1.
-func nextOp(lines []Line, i int) int {
+func nextOp(lines []asm.Line, i int) int {
 	for j := i + 1; j < len(lines); j++ {
-		if lines[j].Op != "" {
+		if lines[j].Op != 0 {
 			return j
 		}
 		if lines[j].Label != "" {
@@ -186,19 +172,17 @@ func nextOp(lines []Line, i int) int {
 
 // deadBefore reports whether register r is overwritten before any read,
 // label or control transfer from index i on.
-func deadBefore(lines []Line, i int, r isa.Reg) bool {
+func deadBefore(lines []asm.Line, i int, r isa.Reg) bool {
 	for j := i; j < len(lines); j++ {
 		l := lines[j]
 		if l.Label != "" || isControl(l) {
 			return false
 		}
-		if l.Op == "" {
+		if l.Op == 0 {
 			continue
 		}
-		for _, rd := range lineReads(l) {
-			if rd == r {
-				return false
-			}
+		if lineReads(l, r) {
+			return false
 		}
 		if w, ok := lineWrites(l); ok && w == r {
 			return true

@@ -3,26 +3,35 @@ package xlate
 import (
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 )
 
-// l is a shorthand Line builder for peephole unit tests.
-func rl(op string, ta, tb isa.Reg) Line {
-	return Line{Op: op, Ta: ta, HasTa: true, Tb: tb, HasTb: true}
+// mn returns the mnemonic spelled op.
+func mn(op string) asm.Mnemonic {
+	if o, ok := isa.OpByName[op]; ok {
+		return asm.Instr(o)
+	}
+	return map[string]asm.Mnemonic{"LDI": asm.LDI, "LDA": asm.LDA, "HALT": asm.HALT}[op]
 }
 
-func il(op string, ta isa.Reg, imm int) Line {
-	return Line{Op: op, Ta: ta, HasTa: true, Imm: imm}
+// rl, il and ml are shorthand Line builders for peephole unit tests.
+func rl(op string, ta, tb isa.Reg) asm.Line {
+	return asm.Line{Op: mn(op), Ta: ta, Tb: tb}
 }
 
-func ml(op string, ta, tb isa.Reg, imm int) Line {
-	return Line{Op: op, Ta: ta, HasTa: true, Tb: tb, HasTb: true, Imm: imm}
+func il(op string, ta isa.Reg, imm int) asm.Line {
+	return asm.Line{Op: mn(op), Ta: ta, Imm: imm}
 }
 
-func countOps(lines []Line) int {
+func ml(op string, ta, tb isa.Reg, imm int) asm.Line {
+	return asm.Line{Op: mn(op), Ta: ta, Tb: tb, Imm: imm}
+}
+
+func countOps(lines []asm.Line) int {
 	n := 0
 	for _, l := range lines {
-		if l.Op != "" {
+		if l.Op != 0 {
 			n++
 		}
 	}
@@ -30,7 +39,7 @@ func countOps(lines []Line) int {
 }
 
 func TestPeepholeIdentities(t *testing.T) {
-	in := []Line{
+	in := []asm.Line{
 		rl("MV", 1, 1),   // removed
 		il("ADDI", 2, 0), // removed
 		il("SLI", 3, 0),  // removed
@@ -48,7 +57,7 @@ func TestPeepholeIdentities(t *testing.T) {
 		t.Errorf("%d ops left, want 3: %v", countOps(out), out)
 	}
 	for _, l := range out {
-		if l.Op == "OR" {
+		if l.Op == mn("OR") {
 			return
 		}
 	}
@@ -57,16 +66,16 @@ func TestPeepholeIdentities(t *testing.T) {
 
 func TestPeepholeSpillReload(t *testing.T) {
 	// STORE then immediate LOAD of the same slot → MV (or dropped).
-	in := []Line{
+	in := []asm.Line{
 		ml("STORE", 3, 0, -9),
 		ml("LOAD", 4, 0, -9),
 	}
 	out, _ := peephole(in)
-	if countOps(out) != 2 || out[1].Op != "MV" || out[1].Ta != 4 || out[1].Tb != 3 {
+	if countOps(out) != 2 || out[1].Op != mn("MV") || out[1].Ta != 4 || out[1].Tb != 3 {
 		t.Errorf("reload not converted to MV: %v", out)
 	}
 	// Same register: reload dropped entirely.
-	in = []Line{
+	in = []asm.Line{
 		ml("STORE", 3, 0, -9),
 		ml("LOAD", 3, 0, -9),
 	}
@@ -75,12 +84,12 @@ func TestPeepholeSpillReload(t *testing.T) {
 		t.Errorf("same-register reload not dropped: %v", out)
 	}
 	// Different slot: untouched.
-	in = []Line{
+	in = []asm.Line{
 		ml("STORE", 3, 0, -9),
 		ml("LOAD", 3, 0, -8),
 	}
 	out, _ = peephole(in)
-	if countOps(out) != 2 || out[1].Op != "LOAD" {
+	if countOps(out) != 2 || out[1].Op != mn("LOAD") {
 		t.Errorf("different-slot reload was touched: %v", out)
 	}
 }
@@ -88,19 +97,19 @@ func TestPeepholeSpillReload(t *testing.T) {
 func TestPeepholeSpillReloadLabelBarrier(t *testing.T) {
 	// A label between store and reload blocks the rewrite (another path
 	// may enter there).
-	in := []Line{
+	in := []asm.Line{
 		ml("STORE", 3, 0, -9),
-		{Label: "L1", Op: "LOAD", Ta: 4, HasTa: true, Tb: 0, HasTb: true, Imm: -9},
+		{Label: "L1", Op: mn("LOAD"), Ta: 4, Tb: 0, Imm: -9},
 	}
 	out, removed := peephole(in)
-	if removed != 0 || out[1].Op != "LOAD" {
+	if removed != 0 || out[1].Op != mn("LOAD") {
 		t.Errorf("labelled reload was rewritten: %v", out)
 	}
 }
 
 func TestPeepholeDeadWrite(t *testing.T) {
 	// LDI overwritten before any read → dropped.
-	in := []Line{
+	in := []asm.Line{
 		il("LDI", 7, 5),
 		il("LDI", 7, 9),
 		rl("MV", 1, 7),
@@ -110,7 +119,7 @@ func TestPeepholeDeadWrite(t *testing.T) {
 		t.Errorf("dead LDI not removed: %v", out)
 	}
 	// A read in between keeps it.
-	in = []Line{
+	in = []asm.Line{
 		il("LDI", 7, 5),
 		rl("ADD", 1, 7),
 		il("LDI", 7, 9),
@@ -120,9 +129,9 @@ func TestPeepholeDeadWrite(t *testing.T) {
 		t.Errorf("live LDI removed")
 	}
 	// Control flow in between keeps it.
-	in = []Line{
+	in = []asm.Line{
 		il("LDI", 7, 5),
-		{Op: "JAL", Ta: 8, HasTa: true, Target: "x"},
+		{Op: mn("JAL"), Ta: 8, Target: "x"},
 		il("LDI", 7, 9),
 	}
 	_, removed = peephole(in)
@@ -132,7 +141,7 @@ func TestPeepholeDeadWrite(t *testing.T) {
 }
 
 func TestPeepholeDuplicateLDI(t *testing.T) {
-	in := []Line{
+	in := []asm.Line{
 		il("LDI", 7, 100),
 		rl("ADD", 1, 7),
 		il("LDI", 7, 100), // same constant, no intervening write → dropped
@@ -143,7 +152,7 @@ func TestPeepholeDuplicateLDI(t *testing.T) {
 		t.Errorf("duplicate LDI not removed: %v", out)
 	}
 	// Different constant: kept.
-	in = []Line{
+	in = []asm.Line{
 		il("LDI", 7, 100),
 		rl("ADD", 1, 7),
 		il("LDI", 7, 101),
@@ -155,8 +164,8 @@ func TestPeepholeDuplicateLDI(t *testing.T) {
 }
 
 func TestPeepholePreservesLabels(t *testing.T) {
-	in := []Line{
-		{Label: "entry", Op: "MV", Ta: 1, HasTa: true, Tb: 1, HasTb: true}, // identity with label
+	in := []asm.Line{
+		{Label: "entry", Op: mn("MV"), Ta: 1, Tb: 1}, // identity with label
 		il("ADDI", 1, 1),
 	}
 	out, _ := peephole(in)
@@ -174,7 +183,7 @@ func TestPeepholePreservesLabels(t *testing.T) {
 func TestPeepholeNeverTouchesPrologue(t *testing.T) {
 	// The LDI T0, 0 prologue would look dead (T0 never rewritten...)
 	// but must survive: every spill slot and zero-compare uses it.
-	in := []Line{
+	in := []asm.Line{
 		il("LDI", 0, 0),
 		il("LDI", 1, 5),
 	}
@@ -195,14 +204,13 @@ func TestLineMetadata(t *testing.T) {
 	if w, ok := lineWrites(ml("LOAD", 1, 2, 0)); !ok || w != 1 {
 		t.Error("LOAD writes Ta")
 	}
-	reads := lineReads(ml("STORE", 1, 2, 0))
-	if len(reads) != 2 {
-		t.Errorf("STORE reads = %v, want Ta and Tb", reads)
+	if st := ml("STORE", 1, 2, 0); !lineReads(st, 1) || !lineReads(st, 2) {
+		t.Error("STORE reads Ta and Tb")
 	}
-	if got := lineReads(il("LDI", 1, 5)); len(got) != 0 {
-		t.Errorf("LDI reads = %v, want none", got)
+	if lineReads(il("LDI", 1, 5), 1) {
+		t.Error("LDI reads no register")
 	}
-	if !isControl(Line{Op: "HALT"}) || isControl(rl("ADD", 1, 2)) {
+	if !isControl(asm.Line{Op: mn("HALT")}) || isControl(rl("ADD", 1, 2)) {
 		t.Error("control classification wrong")
 	}
 }

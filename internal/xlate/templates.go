@@ -3,6 +3,7 @@ package xlate
 import (
 	"fmt"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/rv32"
 	"repro/internal/ternary"
@@ -17,16 +18,16 @@ func (t *translator) mapInst(idx int, in rv32.Inst) error {
 	}
 	switch in.Op {
 	case rv32.ADD:
-		t.binOp("ADD", in.Rd, in.Rs1, in.Rs2)
+		t.binOp(isa.ADD, in.Rd, in.Rs1, in.Rs2)
 	case rv32.SUB:
-		t.binOp("SUB", in.Rd, in.Rs1, in.Rs2)
+		t.binOp(isa.SUB, in.Rd, in.Rs1, in.Rs2)
 	case rv32.AND:
 		if in.Rs1 == 0 || in.Rs2 == 0 {
 			t.storeConst(in.Rd, 0) // binary and with zero
 			return nil
 		}
 		t.diagf("AND at %d: ternary min (boolean semantics)", idx)
-		t.binOp("AND", in.Rd, in.Rs1, in.Rs2)
+		t.binOp(isa.AND, in.Rd, in.Rs1, in.Rs2)
 	case rv32.OR:
 		if in.Rs2 == 0 {
 			t.move(in.Rd, in.Rs1) // or x,0 == mv
@@ -37,7 +38,7 @@ func (t *translator) mapInst(idx int, in rv32.Inst) error {
 			return nil
 		}
 		t.diagf("OR at %d: ternary max (boolean semantics)", idx)
-		t.binOp("OR", in.Rd, in.Rs1, in.Rs2)
+		t.binOp(isa.OR, in.Rd, in.Rs1, in.Rs2)
 	case rv32.XOR:
 		if in.Rs2 == 0 {
 			t.move(in.Rd, in.Rs1)
@@ -55,17 +56,17 @@ func (t *translator) mapInst(idx int, in rv32.Inst) error {
 			t.storeConst(in.Rd, int(in.Imm))
 			return nil
 		}
-		t.immOp("ADDI", "ADD", in.Rd, in.Rs1, int(in.Imm))
+		t.immOp(isa.ADDI, isa.ADD, in.Rd, in.Rs1, int(in.Imm))
 	case rv32.ANDI:
 		t.diagf("ANDI at %d: ternary min (boolean semantics)", idx)
-		t.immOp("ANDI", "AND", in.Rd, in.Rs1, int(in.Imm))
+		t.immOp(isa.ANDI, isa.AND, in.Rd, in.Rs1, int(in.Imm))
 	case rv32.ORI:
 		if in.Imm == 0 {
 			t.move(in.Rd, in.Rs1)
 			return nil
 		}
 		t.diagf("ORI at %d: ternary max (boolean semantics)", idx)
-		t.immOp("", "OR", in.Rd, in.Rs1, int(in.Imm))
+		t.immOp(isa.OR, isa.OR, in.Rd, in.Rs1, int(in.Imm)) // no ORI
 	case rv32.XORI:
 		if in.Imm == 0 {
 			t.move(in.Rd, in.Rs1)
@@ -81,7 +82,7 @@ func (t *translator) mapInst(idx int, in rv32.Inst) error {
 		}
 		b := t.read(in.Rs2, scratchB)
 		if b != scratchB {
-			t.r2("MV", scratchB, b)
+			t.r2(isa.MV, scratchB, b)
 		}
 		t.sltCore(in.Rd, in.Rs1)
 	case rv32.SLTI, rv32.SLTIU:
@@ -108,10 +109,10 @@ func (t *translator) mapInst(idx int, in rv32.Inst) error {
 			return nil
 		}
 		t.ldi(scratchB, 1<<uint(in.Imm))
-		t.mem("STORE", scratchB, regZero, rtArgB)
+		t.mem(isa.STORE, scratchB, regZero, rtArgB)
 		a := t.read(in.Rs1, scratchA)
 		if a != scratchA {
-			t.r2("MV", scratchA, a)
+			t.r2(isa.MV, scratchA, a)
 		}
 		t.callDivmodMode(in.Rd, false, true)
 	case rv32.SLL:
@@ -138,19 +139,19 @@ func (t *translator) mapInst(idx int, in rv32.Inst) error {
 		return fmt.Errorf("AUIPC is not supported (Harvard layout has no PC-relative data)")
 
 	case rv32.BEQ:
-		t.condBranch(idx, in, ternary.Zero, "BEQ")
+		t.condBranch(idx, in, ternary.Zero, isa.BEQ)
 	case rv32.BNE:
-		t.condBranch(idx, in, ternary.Zero, "BNE")
+		t.condBranch(idx, in, ternary.Zero, isa.BNE)
 	case rv32.BLT:
-		t.condBranch(idx, in, ternary.Neg, "BEQ")
+		t.condBranch(idx, in, ternary.Neg, isa.BEQ)
 	case rv32.BGE:
-		t.condBranch(idx, in, ternary.Neg, "BNE")
+		t.condBranch(idx, in, ternary.Neg, isa.BNE)
 	case rv32.BLTU:
 		t.diagf("BLTU at %d: signed compare (value contract)", idx)
-		t.condBranch(idx, in, ternary.Neg, "BEQ")
+		t.condBranch(idx, in, ternary.Neg, isa.BEQ)
 	case rv32.BGEU:
 		t.diagf("BGEU at %d: signed compare (value contract)", idx)
-		t.condBranch(idx, in, ternary.Neg, "BNE")
+		t.condBranch(idx, in, ternary.Neg, isa.BNE)
 
 	case rv32.JAL:
 		t.jal(idx, in)
@@ -197,7 +198,7 @@ func (t *translator) mapInst(idx int, in rv32.Inst) error {
 	case rv32.FENCE:
 		t.diagf("FENCE at %d dropped (single-core TDM)", idx)
 	case rv32.ECALL, rv32.EBREAK:
-		t.emit(Line{Op: "HALT"})
+		t.emit(asm.Line{Op: asm.HALT})
 	default:
 		return fmt.Errorf("unmapped opcode %v", in.Op)
 	}
@@ -239,7 +240,7 @@ func (t *translator) move(rd, rs rv32.Reg) {
 	d := t.writeTarget(rd, scratchA)
 	a := t.read(rs, d)
 	if a != d {
-		t.r2("MV", d, a)
+		t.r2(isa.MV, d, a)
 	}
 	t.writeBack(rd, d)
 }
@@ -247,7 +248,7 @@ func (t *translator) move(rd, rs rv32.Reg) {
 // binOp implements rd = rs1 OP rs2 with the two-address conversion.
 // Commutative operations with rd == rs2 flip their operands to save the
 // copy (part of the Fig. 2 mapping-quality work).
-func (t *translator) binOp(op string, rd, rs1, rs2 rv32.Reg) {
+func (t *translator) binOp(op isa.Op, rd, rs1, rs2 rv32.Reg) {
 	if rd == 0 {
 		return
 	}
@@ -258,21 +259,21 @@ func (t *translator) binOp(op string, rd, rs1, rs2 rv32.Reg) {
 	b := t.read(rs2, scratchB)
 	if b == d && rd != rs1 {
 		// d will be overwritten before OP reads b: secure b first.
-		t.r2("MV", scratchB, b)
+		t.r2(isa.MV, scratchB, b)
 		b = scratchB
 	}
 	a := t.read(rs1, d)
 	if a != d {
-		t.r2("MV", d, a)
+		t.r2(isa.MV, d, a)
 	}
 	t.r2(op, d, b)
 	t.writeBack(rd, d)
 }
 
 // commutative reports whether the ternary operation is commutative.
-func commutative(op string) bool {
+func commutative(op isa.Op) bool {
 	switch op {
-	case "ADD", "AND", "OR", "XOR":
+	case isa.ADD, isa.AND, isa.OR, isa.XOR:
 		return true
 	}
 	return false
@@ -281,30 +282,31 @@ func commutative(op string) bool {
 // immOp implements rd = rs1 OP imm, using the I-type form when the
 // immediate fits its 3-trit field and synthesising it otherwise. Additive
 // immediates slightly beyond the field are cheaper as a short ADDI chain
-// than as a full LUI/LI construction.
-func (t *translator) immOp(immForm, regForm string, rd, rs1 rv32.Reg, imm int) {
+// than as a full LUI/LI construction. An immForm that takes no immediate
+// (ORI has no ternary counterpart) always uses the register form.
+func (t *translator) immOp(immForm, regForm isa.Op, rd, rs1 rv32.Reg, imm int) {
 	if rd == 0 {
 		return
 	}
-	if immForm != "" && ternary.FitsTrits(imm, 3) {
+	if immForm.ImmTrits() > 0 && ternary.FitsTrits(imm, 3) {
 		d := t.writeTarget(rd, scratchA)
 		a := t.read(rs1, d)
 		if a != d {
-			t.r2("MV", d, a)
+			t.r2(isa.MV, d, a)
 		}
 		t.imm(immForm, d, imm)
 		t.writeBack(rd, d)
 		return
 	}
-	if immForm == "ADDI" && abs(imm) <= 39 {
+	if immForm == isa.ADDI && abs(imm) <= 39 {
 		d := t.writeTarget(rd, scratchA)
 		a := t.read(rs1, d)
 		if a != d {
-			t.r2("MV", d, a)
+			t.r2(isa.MV, d, a)
 		}
 		for imm != 0 {
 			step := clamp13(imm)
-			t.imm("ADDI", d, step)
+			t.imm(isa.ADDI, d, step)
 			imm -= step
 		}
 		t.writeBack(rd, d)
@@ -315,7 +317,7 @@ func (t *translator) immOp(immForm, regForm string, rd, rs1 rv32.Reg, imm int) {
 	d := t.writeTarget(rd, scratchA)
 	a := t.read(rs1, d)
 	if a != d {
-		t.r2("MV", d, a)
+		t.r2(isa.MV, d, a)
 	}
 	t.r2(regForm, d, scratchB)
 	t.writeBack(rd, d)
@@ -349,24 +351,24 @@ func (t *translator) memAddr(rs1 rv32.Reg, off int, avoid isa.Reg) (isa.Reg, int
 		return base, off
 	}
 	if base != scratchA {
-		t.r2("MV", scratchA, base)
+		t.r2(isa.MV, scratchA, base)
 	}
 	if abs(off) <= 52 {
 		for !ternary.FitsTrits(off, 3) {
 			step := clamp13(off)
-			t.imm("ADDI", scratchA, step)
+			t.imm(isa.ADDI, scratchA, step)
 			off -= step
 		}
 		return scratchA, off
 	}
 	// Far offset: build it in the scratch not holding the store value.
 	if avoid == scratchB {
-		t.mem("STORE", scratchB, regZero, rtSaveT3)
+		t.mem(isa.STORE, scratchB, regZero, rtSaveT3)
 	}
 	t.ldi(scratchB, off)
-	t.r2("ADD", scratchA, scratchB)
+	t.r2(isa.ADD, scratchA, scratchB)
 	if avoid == scratchB {
-		t.mem("LOAD", scratchB, regZero, rtSaveT3)
+		t.mem(isa.LOAD, scratchB, regZero, rtSaveT3)
 	}
 	return scratchA, 0
 }
@@ -378,7 +380,7 @@ func (t *translator) xorDiff(rd, rs1, rs2 rv32.Reg) {
 	}
 	b := t.read(rs2, scratchB)
 	if b != scratchB {
-		t.r2("MV", scratchB, b)
+		t.r2(isa.MV, scratchB, b)
 	}
 	t.xorDiffReg(rd, rs1)
 }
@@ -388,12 +390,12 @@ func (t *translator) xorDiffReg(rd, rs1 rv32.Reg) {
 	d := t.writeTarget(rd, scratchA)
 	a := t.read(rs1, d)
 	if a != d {
-		t.r2("MV", d, a)
+		t.r2(isa.MV, d, a)
 	}
-	t.r2("SUB", d, scratchB)
+	t.r2(isa.SUB, d, scratchB)
 	// |x| = max(x, −x).
-	t.r2("STI", scratchB, d)
-	t.r2("OR", d, scratchB)
+	t.r2(isa.STI, scratchB, d)
+	t.r2(isa.OR, d, scratchB)
 	t.writeBack(rd, d)
 }
 
@@ -405,11 +407,11 @@ func (t *translator) sltCore(rd, rs1 rv32.Reg) {
 	d := t.writeTarget(rd, scratchA)
 	a := t.read(rs1, d)
 	if a != d {
-		t.r2("MV", d, a)
+		t.r2(isa.MV, d, a)
 	}
-	t.r2("COMP", d, scratchB) // LST = sign(rs1 − b)
-	t.r2("STI", d, d)         // +1 when rs1 < b
-	t.r2("OR", d, regZero)    // clamp −1 → 0 (max with zero)
+	t.r2(isa.COMP, d, scratchB) // LST = sign(rs1 − b)
+	t.r2(isa.STI, d, d)         // +1 when rs1 < b
+	t.r2(isa.OR, d, regZero)    // clamp −1 → 0 (max with zero)
 	t.writeBack(rd, d)
 }
 
@@ -432,10 +434,10 @@ func (t *translator) shiftLeftConst(rd, rs1 rv32.Reg, k, idx int) {
 	d := t.writeTarget(rd, scratchA)
 	a := t.read(rs1, d)
 	if a != d {
-		t.r2("MV", d, a)
+		t.r2(isa.MV, d, a)
 	}
 	for i := 0; i < k; i++ {
-		t.r2("ADD", d, d)
+		t.r2(isa.ADD, d, d)
 	}
 	t.writeBack(rd, d)
 }
@@ -445,7 +447,7 @@ func (t *translator) shiftLeftConst(rd, rs1 rv32.Reg, k, idx int) {
 // value provably in {−1, 0, +1} branch on the LST directly — for such
 // values sign(x) equals the least significant trit, so the COMP sequence
 // collapses to the one-instruction ternary branch.
-func (t *translator) condBranch(idx int, in rv32.Inst, b ternary.Trit, op string) {
+func (t *translator) condBranch(idx int, in rv32.Inst, b ternary.Trit, op isa.Op) {
 	target := t.targetLabel(idx, in)
 	if in.Rs2 == 0 && t.boolReg[in.Rs1] {
 		rb := t.read(in.Rs1, scratchA)
@@ -461,9 +463,9 @@ func (t *translator) condBranch(idx int, in rv32.Inst, b ternary.Trit, op string
 	rb := t.read(in.Rs2, scratchB)
 	a := t.read(in.Rs1, scratchA)
 	if a != scratchA {
-		t.r2("MV", scratchA, a)
+		t.r2(isa.MV, scratchA, a)
 	}
-	t.r2("COMP", scratchA, rb)
+	t.r2(isa.COMP, scratchA, rb)
 	t.branch(op, scratchA, b, target)
 }
 
@@ -471,19 +473,19 @@ func (t *translator) condBranch(idx int, in rv32.Inst, b ternary.Trit, op string
 func (t *translator) jal(idx int, in rv32.Inst) {
 	target := t.targetLabel(idx, in)
 	if in.Rd == 0 {
-		t.emit(Line{Op: "JAL", Ta: scratchB, HasTa: true, Target: target})
+		t.jump(scratchB, target)
 		return
 	}
 	if d, ok := t.alloc.isDirect(in.Rd); ok {
-		t.emit(Line{Op: "JAL", Ta: d, HasTa: true, Target: target})
+		t.jump(d, target)
 		return
 	}
 	// Spilled link register: materialise the return address first (the
 	// store after a JAL would never execute).
 	ret := fmt.Sprintf("R%d", idx)
-	t.emit(Line{Op: "LDA", Ta: scratchB, HasTa: true, Target: ret})
+	t.lda(scratchB, ret)
 	t.writeBack(in.Rd, scratchB)
-	t.emit(Line{Op: "JAL", Ta: scratchB, HasTa: true, Target: target})
+	t.jump(scratchB, target)
 	t.label(ret)
 }
 
@@ -493,11 +495,11 @@ func (t *translator) jalr(idx int, in rv32.Inst) {
 	off := int(in.Imm)
 	if !ternary.FitsTrits(off, 3) {
 		if a != scratchA {
-			t.r2("MV", scratchA, a)
+			t.r2(isa.MV, scratchA, a)
 			a = scratchA
 		}
 		t.ldi(scratchB, off)
-		t.r2("ADD", scratchA, scratchB)
+		t.r2(isa.ADD, scratchA, scratchB)
 		off = 0
 	}
 	link := scratchB
@@ -506,14 +508,14 @@ func (t *translator) jalr(idx int, in rv32.Inst) {
 			link = d
 		} else {
 			ret := fmt.Sprintf("R%d", idx)
-			t.emit(Line{Op: "LDA", Ta: scratchB, HasTa: true, Target: ret})
+			t.lda(scratchB, ret)
 			t.writeBack(in.Rd, scratchB)
-			t.mem("JALR", scratchB, a, off)
+			t.mem(isa.JALR, scratchB, a, off)
 			t.label(ret)
 			return
 		}
 	}
-	t.mem("JALR", link, a, off)
+	t.mem(isa.JALR, link, a, off)
 }
 
 // loadWord maps LW-family: RV32 byte addresses are used directly as TDM
@@ -525,7 +527,7 @@ func (t *translator) loadWord(in rv32.Inst) {
 	}
 	base, off := t.memAddr(in.Rs1, int(in.Imm), 0)
 	d := t.writeTarget(in.Rd, scratchB)
-	t.mem("LOAD", d, base, off)
+	t.mem(isa.LOAD, d, base, off)
 	t.writeBack(in.Rd, d)
 }
 
@@ -533,7 +535,7 @@ func (t *translator) loadWord(in rv32.Inst) {
 func (t *translator) storeWord(in rv32.Inst) {
 	v := t.read(in.Rs2, scratchB)
 	base, off := t.memAddr(in.Rs1, int(in.Imm), v)
-	t.mem("STORE", v, base, off)
+	t.mem(isa.STORE, v, base, off)
 }
 
 // divRem maps DIV/REM through the runtime divider.
@@ -542,10 +544,10 @@ func (t *translator) divRem(in rv32.Inst, wantRem bool) {
 		return
 	}
 	b := t.read(in.Rs2, scratchB)
-	t.mem("STORE", b, regZero, rtArgB)
+	t.mem(isa.STORE, b, regZero, rtArgB)
 	a := t.read(in.Rs1, scratchA)
 	if a != scratchA {
-		t.r2("MV", scratchA, a)
+		t.r2(isa.MV, scratchA, a)
 	}
 	t.callDivmod(in.Rd, wantRem)
 }
@@ -562,20 +564,20 @@ func (t *translator) callDivmod(rd rv32.Reg, wantRem bool) {
 // divisor, a power of two, is always positive).
 func (t *translator) callDivmodMode(rd rv32.Reg, wantRem, floor bool) {
 	t.needDiv = true
-	t.emit(Line{Op: "JAL", Ta: scratchB, HasTa: true, Target: "__t9_divmod"})
+	t.jump(scratchB, "__t9_divmod")
 	if floor {
-		t.mem("LOAD", scratchB, regZero, rtArgB)
-		t.r2("COMP", scratchB, regZero)
-		t.emit(Line{Op: "BNE", Tb: scratchB, HasTb: true, B: -1, Imm: 2})
-		t.imm("ADDI", scratchA, -1)
+		t.mem(isa.LOAD, scratchB, regZero, rtArgB)
+		t.r2(isa.COMP, scratchB, regZero)
+		t.skipIf(isa.BNE, scratchB, -1)
+		t.imm(isa.ADDI, scratchA, -1)
 	}
 	src := scratchA // quotient lands in T7 == scratchA
 	if wantRem {
-		t.mem("LOAD", scratchA, regZero, rtArgB)
+		t.mem(isa.LOAD, scratchA, regZero, rtArgB)
 	}
 	d := t.writeTarget(rd, src)
 	if d != src {
-		t.r2("MV", d, src)
+		t.r2(isa.MV, d, src)
 	}
 	t.writeBack(rd, d)
 }
@@ -586,16 +588,16 @@ func (t *translator) mulViaRuntime(in rv32.Inst) {
 		return
 	}
 	b := t.read(in.Rs2, scratchB)
-	t.mem("STORE", b, regZero, rtArgB)
+	t.mem(isa.STORE, b, regZero, rtArgB)
 	a := t.read(in.Rs1, scratchA)
 	if a != scratchA {
-		t.r2("MV", scratchA, a)
+		t.r2(isa.MV, scratchA, a)
 	}
 	t.needMul = true
-	t.emit(Line{Op: "JAL", Ta: scratchB, HasTa: true, Target: "__t9_mul"})
+	t.jump(scratchB, "__t9_mul")
 	d := t.writeTarget(in.Rd, scratchA)
 	if d != scratchA {
-		t.r2("MV", d, scratchA)
+		t.r2(isa.MV, d, scratchA)
 	}
 	t.writeBack(in.Rd, d)
 }
@@ -609,44 +611,44 @@ func (t *translator) mulInline(idx int, in rv32.Inst) {
 	}
 	b := t.read(in.Rs2, scratchB)
 	if b != scratchB {
-		t.r2("MV", scratchB, b)
+		t.r2(isa.MV, scratchB, b)
 	}
 	a := t.read(in.Rs1, scratchA)
 	if a != scratchA {
-		t.r2("MV", scratchA, a)
+		t.r2(isa.MV, scratchA, a)
 	}
 	lbl := func(s string) string { return fmt.Sprintf("M%d_%s", idx, s) }
 	// Borrow T5 (accumulator) and T6 (temp); save to runtime slots.
-	t.mem("STORE", isa.Reg(5), regZero, rtSaveT5)
-	t.mem("STORE", isa.Reg(6), regZero, rtSaveT6)
+	t.mem(isa.STORE, isa.Reg(5), regZero, rtSaveT5)
+	t.mem(isa.STORE, isa.Reg(6), regZero, rtSaveT6)
 	t.ldi(isa.Reg(5), 0)
 	t.label(lbl("loop"))
-	t.r2("MV", isa.Reg(6), scratchB)
-	t.r2("COMP", isa.Reg(6), regZero)
-	t.branch("BEQ", isa.Reg(6), ternary.Zero, lbl("done")) // multiplier exhausted
+	t.r2(isa.MV, isa.Reg(6), scratchB)
+	t.r2(isa.COMP, isa.Reg(6), regZero)
+	t.branch(isa.BEQ, isa.Reg(6), ternary.Zero, lbl("done")) // multiplier exhausted
 	// Extract the least significant trit of B.
-	t.r2("MV", isa.Reg(6), scratchB)
-	t.imm("SRI", scratchB, 1)
-	t.mem("STORE", scratchB, regZero, rtSaveT3) // stash B>>1
-	t.imm("SLI", scratchB, 1)
-	t.r2("SUB", isa.Reg(6), scratchB) // LST(B)
-	t.mem("LOAD", scratchB, regZero, rtSaveT3)
-	t.branch("BNE", isa.Reg(6), ternary.Pos, lbl("n1"))
-	t.r2("ADD", isa.Reg(5), scratchA)
-	t.emit(Line{Op: "JAL", Ta: isa.Reg(6), HasTa: true, Target: lbl("next")})
+	t.r2(isa.MV, isa.Reg(6), scratchB)
+	t.imm(isa.SRI, scratchB, 1)
+	t.mem(isa.STORE, scratchB, regZero, rtSaveT3) // stash B>>1
+	t.imm(isa.SLI, scratchB, 1)
+	t.r2(isa.SUB, isa.Reg(6), scratchB) // LST(B)
+	t.mem(isa.LOAD, scratchB, regZero, rtSaveT3)
+	t.branch(isa.BNE, isa.Reg(6), ternary.Pos, lbl("n1"))
+	t.r2(isa.ADD, isa.Reg(5), scratchA)
+	t.jump(isa.Reg(6), lbl("next"))
 	t.label(lbl("n1"))
-	t.branch("BNE", isa.Reg(6), ternary.Neg, lbl("next"))
-	t.r2("SUB", isa.Reg(5), scratchA)
+	t.branch(isa.BNE, isa.Reg(6), ternary.Neg, lbl("next"))
+	t.r2(isa.SUB, isa.Reg(5), scratchA)
 	t.label(lbl("next"))
-	t.imm("SLI", scratchA, 1) // A *= 3
-	t.emit(Line{Op: "JAL", Ta: isa.Reg(6), HasTa: true, Target: lbl("loop")})
+	t.imm(isa.SLI, scratchA, 1) // A *= 3
+	t.jump(isa.Reg(6), lbl("loop"))
 	t.label(lbl("done"))
-	t.r2("MV", scratchA, isa.Reg(5))
-	t.mem("LOAD", isa.Reg(5), regZero, rtSaveT5)
-	t.mem("LOAD", isa.Reg(6), regZero, rtSaveT6)
+	t.r2(isa.MV, scratchA, isa.Reg(5))
+	t.mem(isa.LOAD, isa.Reg(5), regZero, rtSaveT5)
+	t.mem(isa.LOAD, isa.Reg(6), regZero, rtSaveT6)
 	d := t.writeTarget(in.Rd, scratchA)
 	if d != scratchA {
-		t.r2("MV", d, scratchA)
+		t.r2(isa.MV, d, scratchA)
 	}
 	t.writeBack(in.Rd, d)
 }
@@ -659,38 +661,38 @@ func (t *translator) shiftVar(idx int, in rv32.Inst, left bool) {
 	}
 	b := t.read(in.Rs2, scratchB)
 	if b != scratchB {
-		t.r2("MV", scratchB, b)
+		t.r2(isa.MV, scratchB, b)
 	}
 	a := t.read(in.Rs1, scratchA)
 	if a != scratchA {
-		t.r2("MV", scratchA, a)
+		t.r2(isa.MV, scratchA, a)
 	}
 	lbl := func(s string) string { return fmt.Sprintf("S%d_%s", idx, s) }
-	t.mem("STORE", isa.Reg(6), regZero, rtSaveT6)
+	t.mem(isa.STORE, isa.Reg(6), regZero, rtSaveT6)
 	if !left {
 		// Park the operand; build P = 2^k in scratchA.
-		t.mem("STORE", scratchA, regZero, rtSaveT5)
+		t.mem(isa.STORE, scratchA, regZero, rtSaveT5)
 		t.ldi(scratchA, 1)
 	}
 	t.label(lbl("loop"))
-	t.r2("MV", isa.Reg(6), scratchB)
-	t.r2("COMP", isa.Reg(6), regZero)
-	t.branch("BNE", isa.Reg(6), ternary.Pos, lbl("done")) // k <= 0 → stop
-	t.r2("ADD", scratchA, scratchA)                       // double
-	t.imm("ADDI", scratchB, -1)
-	t.emit(Line{Op: "JAL", Ta: isa.Reg(6), HasTa: true, Target: lbl("loop")})
+	t.r2(isa.MV, isa.Reg(6), scratchB)
+	t.r2(isa.COMP, isa.Reg(6), regZero)
+	t.branch(isa.BNE, isa.Reg(6), ternary.Pos, lbl("done")) // k <= 0 → stop
+	t.r2(isa.ADD, scratchA, scratchA)                       // double
+	t.imm(isa.ADDI, scratchB, -1)
+	t.jump(isa.Reg(6), lbl("loop"))
 	t.label(lbl("done"))
-	t.mem("LOAD", isa.Reg(6), regZero, rtSaveT6)
+	t.mem(isa.LOAD, isa.Reg(6), regZero, rtSaveT6)
 	if !left {
 		// scratchA = 2^k → divisor; operand back to scratchA.
-		t.mem("STORE", scratchA, regZero, rtArgB)
-		t.mem("LOAD", scratchA, regZero, rtSaveT5)
+		t.mem(isa.STORE, scratchA, regZero, rtArgB)
+		t.mem(isa.LOAD, scratchA, regZero, rtSaveT5)
 		t.callDivmodMode(in.Rd, false, true)
 		return
 	}
 	d := t.writeTarget(in.Rd, scratchA)
 	if d != scratchA {
-		t.r2("MV", d, scratchA)
+		t.r2(isa.MV, d, scratchA)
 	}
 	t.writeBack(in.Rd, d)
 }

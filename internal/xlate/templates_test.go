@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
+	"repro/internal/isa"
 	"repro/internal/rv32"
 )
 
@@ -24,7 +26,7 @@ func TestAddiChainCorrectAndShort(t *testing.T) {
 		e.checkReg(t, fmt.Sprintf("addi %d", imm), 11)
 		// The chain must not use LUI for these values.
 		for _, l := range e.out.Lines {
-			if l.Op == "LUI" && l.Ta != regZero && l.Imm != 0 {
+			if l.Op == asm.Instr(isa.LUI) && l.Ta != regZero && l.Imm != 0 {
 				// the prologue/li are LUI-based; check the chain only
 				// via total length below
 				break
@@ -43,7 +45,7 @@ func TestAddiChainCorrectAndShort(t *testing.T) {
 	}
 	ops := 0
 	for _, l := range out.Lines {
-		if l.Op == "ADDI" {
+		if l.Op == asm.Instr(isa.ADDI) {
 			ops++
 		}
 	}
@@ -136,7 +138,7 @@ func TestBoolBranchFastPath(t *testing.T) {
 	// Count COMPs: the slt needs one; the branch must not add another.
 	comps := 0
 	for _, l := range out.Lines {
-		if l.Op == "COMP" {
+		if l.Op == asm.Instr(isa.COMP) {
 			comps++
 		}
 	}
@@ -177,7 +179,7 @@ func TestBoolBranchInvalidatedByLabel(t *testing.T) {
 	}
 	comps := 0
 	for _, l := range out.Lines {
-		if l.Op == "COMP" {
+		if l.Op == asm.Instr(isa.COMP) {
 			comps++
 		}
 	}

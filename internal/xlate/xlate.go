@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/rv32"
 	"repro/internal/ternary"
@@ -89,8 +90,11 @@ type Options struct {
 type Output struct {
 	// Asm is the generated ART-9 assembly source.
 	Asm string
-	// Lines is the structured form Asm was rendered from.
-	Lines []Line
+	// Lines is the structured form Asm was printed from: concrete
+	// instructions and pseudos, with branch targets as labels so the
+	// redundancy checker can delete instructions without breaking
+	// offsets.
+	Lines []asm.Line
 	// Diagnostics records constructs translated with narrowed semantics.
 	Diagnostics []string
 	// Removed is the number of instructions deleted by redundancy
@@ -100,70 +104,12 @@ type Output struct {
 	alloc *allocation
 }
 
-// Line is one ART-9 assembly line in symbolic form: a concrete instruction
-// or pseudo, with branch targets as labels so the redundancy checker can
-// delete instructions without breaking offsets.
-type Line struct {
-	Label  string // label bound to this line ("" if none)
-	Op     string // mnemonic: Table I op or LDI/LDA/HALT pseudo
-	Ta, Tb isa.Reg
-	HasTa  bool
-	HasTb  bool
-	B      ternary.Trit
-	Imm    int
-	Target string // symbolic target; when set, Imm is ignored
-}
-
-// render formats a line as assembly text.
-func (l Line) render() string {
-	var b strings.Builder
-	if l.Label != "" {
-		fmt.Fprintf(&b, "%s:", l.Label)
-	}
-	if l.Op == "" {
-		return b.String()
-	}
-	b.WriteByte('\t')
-	b.WriteString(l.Op)
-	sep := " "
-	arg := func(s string) {
-		b.WriteString(sep)
-		b.WriteString(s)
-		sep = ", "
-	}
-	if l.HasTa {
-		arg(l.Ta.String())
-	}
-	if l.HasTb {
-		arg(l.Tb.String())
-	}
-	switch l.Op {
-	case "BEQ", "BNE":
-		arg(fmt.Sprintf("%d", int(l.B)))
-	}
-	if l.Target != "" {
-		arg(l.Target)
-	} else if usesImm(l.Op) {
-		arg(fmt.Sprintf("%d", l.Imm))
-	}
-	return b.String()
-}
-
-func usesImm(op string) bool {
-	switch op {
-	case "ANDI", "ADDI", "SRI", "SLI", "LUI", "LI", "LDI", "LDA",
-		"JAL", "JALR", "LOAD", "STORE", "BEQ", "BNE":
-		return true
-	}
-	return false
-}
-
 // translator carries the state of one translation.
 type translator struct {
 	opts  Options
 	src   *rv32.Program
 	alloc *allocation
-	lines []Line
+	lines []asm.Line
 	diags []string
 
 	labelAt   map[int]string // rv32 instruction index -> label name
@@ -225,7 +171,7 @@ func Translate(p *rv32.Program, opts Options) (*Output, error) {
 	t.findLabels()
 
 	// Prologue: establish the zero-register convention.
-	t.emit(Line{Op: "LDI", Ta: regZero, HasTa: true, Imm: 0})
+	t.ldi(regZero, 0)
 
 	for idx, in := range p.Insts {
 		if lbl, ok := t.labelAt[idx]; ok {
@@ -240,7 +186,7 @@ func Translate(p *rv32.Program, opts Options) (*Output, error) {
 	// A trailing label (branch to end) needs an anchor.
 	if lbl, ok := t.labelAt[len(p.Insts)]; ok {
 		t.label(lbl)
-		t.emit(Line{Op: "HALT"})
+		t.emit(asm.Line{Op: asm.HALT})
 	}
 	t.appendRuntime()
 
@@ -248,12 +194,11 @@ func Translate(p *rv32.Program, opts Options) (*Output, error) {
 	if !opts.NoPeephole {
 		out.Lines, out.Removed = peephole(out.Lines)
 	}
+	const header = "; generated by the ART-9 software-level compiling framework\n"
 	var b strings.Builder
-	b.WriteString("; generated by the ART-9 software-level compiling framework\n")
-	for _, l := range out.Lines {
-		b.WriteString(l.render())
-		b.WriteByte('\n')
-	}
+	b.Grow(len(header) + 24*len(out.Lines))
+	b.WriteString(header)
+	asm.Print(&b, out.Lines)
 	out.Asm = b.String()
 	return out, nil
 }
@@ -279,7 +224,7 @@ func (t *translator) targetLabel(idx int, in rv32.Inst) string {
 	return t.labelAt[idx+int(in.Imm)/4]
 }
 
-func (t *translator) emit(l Line) {
+func (t *translator) emit(l asm.Line) {
 	if t.pendLabel != "" && l.Label == "" {
 		l.Label = t.pendLabel
 	}
@@ -291,7 +236,7 @@ func (t *translator) emit(l Line) {
 func (t *translator) label(name string) {
 	if t.pendLabel != "" {
 		// Two labels on one spot: emit an empty labelled line.
-		t.lines = append(t.lines, Line{Label: t.pendLabel})
+		t.lines = append(t.lines, asm.Line{Label: t.pendLabel})
 	}
 	t.pendLabel = name
 }
@@ -301,20 +246,35 @@ func (t *translator) diagf(format string, args ...interface{}) {
 }
 
 // Convenience emitters.
-func (t *translator) r2(op string, ta, tb isa.Reg) {
-	t.emit(Line{Op: op, Ta: ta, HasTa: true, Tb: tb, HasTb: true})
+func (t *translator) r2(op isa.Op, ta, tb isa.Reg) {
+	t.emit(asm.Line{Op: asm.Instr(op), Ta: ta, Tb: tb})
 }
 
-func (t *translator) imm(op string, ta isa.Reg, v int) {
-	t.emit(Line{Op: op, Ta: ta, HasTa: true, Imm: v})
+func (t *translator) imm(op isa.Op, ta isa.Reg, v int) {
+	t.emit(asm.Line{Op: asm.Instr(op), Ta: ta, Imm: v})
 }
 
-func (t *translator) mem(op string, ta, tb isa.Reg, off int) {
-	t.emit(Line{Op: op, Ta: ta, HasTa: true, Tb: tb, HasTb: true, Imm: off})
+func (t *translator) mem(op isa.Op, ta, tb isa.Reg, off int) {
+	t.emit(asm.Line{Op: asm.Instr(op), Ta: ta, Tb: tb, Imm: off})
 }
 
-func (t *translator) branch(op string, tb isa.Reg, b ternary.Trit, target string) {
-	t.emit(Line{Op: op, Tb: tb, HasTb: true, B: b, Target: target})
+func (t *translator) branch(op isa.Op, tb isa.Reg, b ternary.Trit, target string) {
+	t.emit(asm.Line{Op: asm.Instr(op), Tb: tb, B: b, Target: target})
+}
+
+// skipIf emits a branch over the next instruction (its offset is 2).
+func (t *translator) skipIf(op isa.Op, tb isa.Reg, b ternary.Trit) {
+	t.emit(asm.Line{Op: asm.Instr(op), Tb: tb, B: b, Imm: 2})
+}
+
+// jump emits JAL ta, target.
+func (t *translator) jump(ta isa.Reg, target string) {
+	t.emit(asm.Line{Op: asm.Instr(isa.JAL), Ta: ta, Target: target})
+}
+
+// lda loads the address of a label into ta.
+func (t *translator) lda(ta isa.Reg, label string) {
+	t.emit(asm.Line{Op: asm.LDA, Ta: ta, Target: label})
 }
 
 // ldi loads a full-width constant into reg (operand conversion: the LUI/LI
@@ -325,5 +285,5 @@ func (t *translator) ldi(reg isa.Reg, v int) {
 		t.diagf("constant %d wraps to 9-trit range", v)
 		v = ternary.FromInt(v).Int()
 	}
-	t.emit(Line{Op: "LDI", Ta: reg, HasTa: true, Imm: v})
+	t.emit(asm.Line{Op: asm.LDI, Ta: reg, Imm: v})
 }

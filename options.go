@@ -21,10 +21,6 @@ func WithShards(n int) Option {
 	return func(c *remote.BackendConfig) { c.Shards = n }
 }
 
-// WithQueue sets each local shard's buffered dispatch-queue depth
-// (0 selects 2× the workers).
-func WithQueue(n int) Option { return func(c *remote.BackendConfig) { c.Queue = n } }
-
 // WithJobTimeout bounds each local evaluation job; jobs that exceed it
 // fail with ErrTimeout.
 func WithJobTimeout(d time.Duration) Option {
